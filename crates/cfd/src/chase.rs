@@ -20,6 +20,7 @@
 
 use crate::cfd::Cfd;
 use cfd_relalg::unify::{Clash, TermUf};
+use std::borrow::Borrow;
 
 /// A row of a chase instance.
 #[derive(Clone, Debug)]
@@ -52,9 +53,14 @@ impl ChaseInstance {
     }
 
     /// Run the chase to fixpoint with `sigma[g]` attached to group `g`.
+    /// The groups are borrowed: a slice or vector of CFDs, or of `&Cfd`.
     ///
     /// Returns `Err(clash)` when the chase is undefined.
-    pub fn chase(&mut self, sigma: &[Vec<Cfd>]) -> Result<(), Clash> {
+    pub fn chase<G, C>(&mut self, sigma: &[G]) -> Result<(), Clash>
+    where
+        G: AsRef<[C]>,
+        C: Borrow<Cfd>,
+    {
         // Row membership per group is fixed for the duration of the chase.
         let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); sigma.len()];
         for (i, r) in self.rows.iter().enumerate() {
@@ -66,7 +72,8 @@ impl ChaseInstance {
             let mut changed = false;
             for g in 0..sigma.len() {
                 let rows = &rows_of[g];
-                for cfd in &sigma[g] {
+                for cfd in sigma[g].as_ref() {
+                    let cfd = cfd.borrow();
                     if let Some((a, b)) = cfd.as_attr_eq() {
                         for &i in rows {
                             let (ca, cb) = (self.rows[i].cells[a], self.rows[i].cells[b]);
@@ -162,11 +169,15 @@ impl ChaseInstance {
 /// * **DFS with propagation.** Classes are bound one at a time, re-chasing
 ///   after each binding, so conflicting partial assignments are pruned
 ///   without expanding their exponentially many extensions.
-pub fn any_ground_instantiation(
+pub fn any_ground_instantiation<G, C>(
     inst: &ChaseInstance,
-    sigma: &[Vec<Cfd>],
+    sigma: &[G],
     f: &mut dyn FnMut(&mut ChaseInstance) -> bool,
-) -> bool {
+) -> bool
+where
+    G: AsRef<[C]>,
+    C: Borrow<Cfd>,
+{
     let mut base = inst.clone();
     if base.chase(sigma).is_err() {
         return false;
@@ -193,7 +204,8 @@ pub fn any_ground_instantiation(
     // Columns that can gate a rule, per group.
     let mut lhs_cols: Vec<Vec<usize>> = vec![Vec::new(); sigma.len()];
     for (g, cfds) in sigma.iter().enumerate() {
-        for c in cfds {
+        for c in cfds.as_ref() {
+            let c = c.borrow();
             if c.as_attr_eq().is_some() {
                 continue; // fires unconditionally
             }
@@ -220,12 +232,16 @@ pub fn any_ground_instantiation(
     dfs(&base, sigma, &relevant_roots, f)
 }
 
-fn dfs(
+fn dfs<G, C>(
     inst: &ChaseInstance,
-    sigma: &[Vec<Cfd>],
+    sigma: &[G],
     pending: &[u32],
     f: &mut dyn FnMut(&mut ChaseInstance) -> bool,
-) -> bool {
+) -> bool
+where
+    G: AsRef<[C]>,
+    C: Borrow<Cfd>,
+{
     // Find the next still-unbound pending class (earlier bindings may have
     // merged or bound later ones through the chase).
     let mut cur = inst.clone();

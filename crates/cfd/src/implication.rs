@@ -3,7 +3,15 @@
 //! * **Infinite-domain setting**: `Σ |= φ` is decidable in quadratic time
 //!   \[8\]; [`implies`] realizes it as a two-tuple chase. The answer `true`
 //!   is sound in *both* settings (chase derivations are sound); the answer
-//!   `false` is conclusive only without finite-domain attributes.
+//!   `false` is conclusive only without finite-domain attributes. The chase
+//!   runs on Σ compiled once per call site (`CompiledSigma`, private):
+//!   constants interned to `u32`, each LHS a bitset, and a union–find over
+//!   the `2·arity` cells. One chase round costs one bitset AND per CFD and
+//!   64 attributes plus a lookup per LHS constant; most tests end after one
+//!   round. `MinCover` keeps the compiled Σ for its whole run. The generic
+//!   [`ChaseInstance`] is the test oracle for this engine
+//!   (`tests/properties.rs` checks that both answer alike) and runs the
+//!   general setting below.
 //! * **General setting**: coNP-complete \[8\]; [`implies_general`] enumerates
 //!   instantiations of finite-domain variables on top of the same chase
 //!   (the technique used throughout the paper's appendix).
@@ -13,6 +21,7 @@
 
 use crate::cfd::Cfd;
 use crate::chase::ChaseInstance;
+use crate::compiled::CompiledSigma;
 use cfd_relalg::domain::DomainKind;
 
 /// Outcome of checking a conclusion against a chased pair instance.
@@ -70,7 +79,8 @@ fn check_conclusion(inst: &mut ChaseInstance, phi: &Cfd) -> Conclusion {
 }
 
 /// Infinite-domain implication test `Σ |= φ` via a two-tuple chase
-/// (one-tuple for the `(A → B, (x ‖ x))` form).
+/// (one-tuple for the `(A → B, (x ‖ x))` form), run on Σ compiled by
+/// [`CompiledSigma`].
 ///
 /// Complete when no attribute of `domains` is finite; otherwise `true`
 /// answers remain sound while `false` answers may be spurious (use
@@ -79,24 +89,7 @@ pub fn implies(sigma: &[Cfd], phi: &Cfd, domains: &[DomainKind]) -> bool {
     if phi.is_trivial() || sigma.contains(phi) {
         return true;
     }
-    let groups = vec![sigma.to_vec()];
-    if let Some((a, b)) = phi.as_attr_eq() {
-        let mut inst = ChaseInstance::new();
-        let cells: Vec<u32> = domains.iter().map(|d| inst.uf.add(d.clone())).collect();
-        inst.push_row(0, cells);
-        if inst.chase(&groups).is_err() {
-            return true; // no tuple can exist at all
-        }
-        let (ca, cb) = (inst.rows[0].cells[a], inst.rows[0].cells[b]);
-        return inst.uf.equal(ca, cb);
-    }
-    let Some(mut inst) = premise_instance(phi, domains) else {
-        return true;
-    };
-    if inst.chase(&groups).is_err() {
-        return true; // no pair can match the premise in any model
-    }
-    check_conclusion(&mut inst, phi) == Conclusion::Forced
+    CompiledSigma::new(sigma, domains).implies(phi, None)
 }
 
 use crate::chase::any_ground_instantiation as any_instantiation;
@@ -110,7 +103,7 @@ pub fn implies_general(sigma: &[Cfd], phi: &Cfd, domains: &[DomainKind]) -> bool
     if !domains.iter().any(DomainKind::is_finite) {
         return implies(sigma, phi, domains);
     }
-    let groups = vec![sigma.to_vec()];
+    let groups = [sigma];
     if let Some((a, b)) = phi.as_attr_eq() {
         let mut inst = ChaseInstance::new();
         let cells: Vec<u32> = domains.iter().map(|d| inst.uf.add(d.clone())).collect();
@@ -141,7 +134,7 @@ pub fn is_consistent(sigma: &[Cfd], domains: &[DomainKind]) -> bool {
     let mut inst = ChaseInstance::new();
     let cells: Vec<u32> = domains.iter().map(|d| inst.uf.add(d.clone())).collect();
     inst.push_row(0, cells);
-    inst.chase(&[sigma.to_vec()]).is_ok()
+    inst.chase(&[sigma]).is_ok()
 }
 
 /// General-setting consistency (NP procedure of \[8\]: instantiate
@@ -153,7 +146,7 @@ pub fn is_consistent_general(sigma: &[Cfd], domains: &[DomainKind]) -> bool {
     let mut inst = ChaseInstance::new();
     let cells: Vec<u32> = domains.iter().map(|d| inst.uf.add(d.clone())).collect();
     inst.push_row(0, cells);
-    let groups = vec![sigma.to_vec()];
+    let groups = [sigma];
     if inst.chase(&groups).is_err() {
         return false;
     }

@@ -19,8 +19,9 @@
 //!   by implication here and by the propagation procedures of
 //!   `cfd-propagation`;
 //! * [`implication`] — implication & consistency in both the
-//!   infinite-domain setting (quadratic chase) and the general setting
-//!   (coNP via finite-domain instantiation);
+//!   infinite-domain setting (a two-tuple chase on Σ compiled to bitsets
+//!   and interned constants) and the general setting (coNP via
+//!   finite-domain instantiation);
 //! * [`mincover`] — minimal covers (`MinCover` of \[8\]);
 //! * [`fd`] — the classical FD toolbox (closure, implication, minimal
 //!   covers, and the exponential closure-based projection cover used as the
@@ -32,6 +33,7 @@
 pub mod cfd;
 pub mod chase;
 pub mod columnar;
+mod compiled;
 pub mod error;
 pub mod fd;
 pub mod implication;

@@ -8,10 +8,16 @@
 //!
 //! Only nontrivial CFDs are kept. All implication tests use the
 //! infinite-domain chase of [`crate::implication`] — the same setting §4 of
-//! the paper assumes.
+//! the paper assumes — on Σ compiled once per call: an LHS shrink
+//! recompiles only that member, and the redundancy test of member `i`
+//! skips index `i` instead of rebuilding Σ without it. A test costs one
+//! two-tuple chase, `O(|Σ|)` bitset and constant checks per round, and the
+//! whole procedure makes `O(|Σ|·|X|²)` tests for LHS size `|X|`. The result is exactly
+//! what the same steps give with the generic [`crate::chase`] as the
+//! implication test (`tests/properties.rs`).
 
 use crate::cfd::Cfd;
-use crate::implication::implies;
+use crate::compiled::CompiledSigma;
 use crate::pattern::Pattern;
 use cfd_relalg::domain::DomainKind;
 
@@ -25,6 +31,8 @@ pub fn min_cover(sigma: &[Cfd], domains: &[DomainKind]) -> Vec<Cfd> {
             work.push(c.clone());
         }
     }
+    // `compiled` mirrors `work` entry for entry from here on.
+    let mut compiled = CompiledSigma::new(&work, domains);
 
     // 2. Remove redundant LHS attributes: replace (X → A, tp) by
     //    (X∖{B} → A, tp') whenever the current set implies the shrunk CFD
@@ -44,7 +52,7 @@ pub fn min_cover(sigma: &[Cfd], domains: &[DomainKind]) -> Vec<Cfd> {
                 if cand.is_trivial() {
                     continue;
                 }
-                if implies(&work, &cand, domains) {
+                if compiled.implies(&cand, None) {
                     reduced = Some(cand);
                     break;
                 }
@@ -56,8 +64,10 @@ pub fn min_cover(sigma: &[Cfd], domains: &[DomainKind]) -> Vec<Cfd> {
                         // redundant outright; re-examine the CFD that slid
                         // into position i
                         work.remove(i);
+                        compiled.remove(i);
                         continue 'next_cfd;
                     }
+                    compiled.replace(i, &c);
                     work[i] = c;
                 }
                 None => break,
@@ -66,14 +76,14 @@ pub fn min_cover(sigma: &[Cfd], domains: &[DomainKind]) -> Vec<Cfd> {
         i += 1;
     }
 
-    // 3. Remove redundant CFDs.
+    // 3. Remove redundant CFDs: is work[i] implied by the others?
     let mut i = 0;
     while i < work.len() {
-        let phi = work.remove(i);
-        if implies(&work, &phi, domains) {
+        if compiled.implies(&work[i], Some(i)) {
             // drop it; do not advance (work[i] is now the next candidate)
+            work.remove(i);
+            compiled.remove(i);
         } else {
-            work.insert(i, phi);
             i += 1;
         }
     }

@@ -1,7 +1,11 @@
 //! Property-based tests for the CFD algebra: pattern-cell laws, implication
 //! as a preorder, MinCover equivalence, and satisfaction/implication
-//! coherence on concrete instances.
+//! coherence on concrete instances. The compiled implication engine behind
+//! `implies` and `min_cover` is checked against a two-tuple
+//! `ChaseInstance` oracle built here from the public chase API.
 
+use cfd_datagen::{gen_cfds, gen_schema, CfdGenConfig, SchemaGenConfig};
+use cfd_model::chase::ChaseInstance;
 use cfd_model::columnar::{find_violating_rows, satisfies_coded, CodedCfd};
 use cfd_model::implication::{equivalent, implies, is_consistent};
 use cfd_model::mincover::min_cover;
@@ -10,6 +14,8 @@ use cfd_model::{Cfd, Pattern};
 use cfd_relalg::instance::Relation;
 use cfd_relalg::{ColumnarRelation, DomainKind, Value, ValuePool};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const ARITY: usize = 4;
 
@@ -223,6 +229,287 @@ proptest! {
                 !satisfy::satisfies_pairwise(&pair, &phi),
                 "reported rows do not violate {} : {:?}", phi, pair
             );
+        }
+    }
+}
+
+/// The oracle: `Σ |= φ` by the generic chase on a two-tuple instance (one
+/// tuple for `(A → B, (x ‖ x))`), with no shortcuts.
+fn oracle_implies(sigma: &[Cfd], phi: &Cfd, domains: &[DomainKind]) -> bool {
+    let groups = [sigma];
+    let mut inst = ChaseInstance::new();
+    let rows = if phi.as_attr_eq().is_some() { 1 } else { 2 };
+    for _ in 0..rows {
+        let cells: Vec<u32> = domains.iter().map(|d| inst.uf.add(d.clone())).collect();
+        inst.push_row(0, cells);
+    }
+    if let Some((a, b)) = phi.as_attr_eq() {
+        if inst.chase(&groups).is_err() {
+            return true;
+        }
+        let (ca, cb) = (inst.rows[0].cells[a], inst.rows[0].cells[b]);
+        return inst.uf.equal(ca, cb);
+    }
+    for (a, pat) in phi.lhs() {
+        let (c0, c1) = (inst.rows[0].cells[*a], inst.rows[1].cells[*a]);
+        if inst.uf.union(c0, c1).is_err() {
+            return true;
+        }
+        if let Some(v) = pat.as_const() {
+            if inst.uf.bind(c0, v.clone()).is_err() {
+                return true;
+            }
+        }
+    }
+    if inst.chase(&groups).is_err() {
+        return true;
+    }
+    let b = phi.rhs_attr();
+    let (c0, c1) = (inst.rows[0].cells[b], inst.rows[1].cells[b]);
+    inst.uf.equal(c0, c1)
+        && match phi.rhs_pattern().as_const() {
+            None => true,
+            Some(want) => inst.uf.is_bound_to(c0, want),
+        }
+}
+
+/// The oracle `MinCover`: the same three steps as `min_cover`, with every
+/// implication test answered by [`oracle_implies`] on a rebuilt Σ.
+fn oracle_min_cover(sigma: &[Cfd], domains: &[DomainKind]) -> Vec<Cfd> {
+    let mut work: Vec<Cfd> = Vec::new();
+    for c in sigma {
+        if !c.is_trivial() && !work.contains(c) {
+            work.push(c.clone());
+        }
+    }
+    let mut i = 0;
+    'next_cfd: while i < work.len() {
+        if work[i].as_attr_eq().is_some() {
+            i += 1;
+            continue;
+        }
+        loop {
+            let mut reduced = None;
+            for drop in work[i].lhs_attrs().collect::<Vec<_>>() {
+                let lhs: Vec<(usize, Pattern)> = work[i]
+                    .lhs()
+                    .iter()
+                    .filter(|(a, _)| *a != drop)
+                    .cloned()
+                    .collect();
+                let cand = Cfd::new(lhs, work[i].rhs_attr(), work[i].rhs_pattern().clone())
+                    .expect("valid");
+                if !cand.is_trivial() && oracle_implies(&work, &cand, domains) {
+                    reduced = Some(cand);
+                    break;
+                }
+            }
+            match reduced {
+                Some(c) if work.contains(&c) => {
+                    work.remove(i);
+                    continue 'next_cfd;
+                }
+                Some(c) => work[i] = c,
+                None => break,
+            }
+        }
+        i += 1;
+    }
+    let mut i = 0;
+    while i < work.len() {
+        let phi = work.remove(i);
+        if !oracle_implies(&work, &phi, domains) {
+            work.insert(i, phi);
+            i += 1;
+        }
+    }
+    work
+}
+
+/// Attributes of the mixed-domain schema.
+const MIXED: usize = 6;
+
+/// Where the mixed attributes sit in the wide schema: across the 64-bit
+/// word boundaries of the compiled LHS bitsets.
+const SPREAD: [usize; MIXED] = [0, 63, 64, 65, 127, 129];
+
+/// Strategy: an attribute domain, finite or infinite, with overlapping
+/// enum carriers so that `(x ‖ x)` unions narrow, clash or pass.
+fn mixed_domain() -> impl Strategy<Value = DomainKind> {
+    prop_oneof![
+        3 => Just(DomainKind::Int),
+        1 => Just(DomainKind::Text),
+        1 => Just(DomainKind::Bool),
+        1 => Just(DomainKind::Enum(vec![Value::int(1), Value::int(2)])),
+        1 => Just(DomainKind::Enum(vec![Value::int(2), Value::str("a"), Value::Bool(true)])),
+    ]
+}
+
+/// Strategy: a constant of any type (often outside the attribute domain).
+fn mixed_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        3 => (1i64..4).prop_map(Value::Int),
+        1 => Just(Value::str("a")),
+        1 => Just(Value::Bool(true)),
+        1 => Just(Value::Bool(false)),
+    ]
+}
+
+/// Strategy: a mixed-schema pattern cell.
+fn mixed_pattern() -> impl Strategy<Value = Pattern> {
+    prop_oneof![
+        3 => Just(Pattern::Wild),
+        2 => mixed_value().prop_map(Pattern::Const),
+    ]
+}
+
+/// Strategy: a standard CFD (RHS may also sit on the LHS), an
+/// `(A → B, (x ‖ x))` CFD, or a constant column.
+fn mixed_cfd() -> impl Strategy<Value = Cfd> {
+    prop_oneof![
+        6 => (
+            proptest::collection::btree_map(0usize..MIXED, mixed_pattern(), 0..4),
+            0usize..MIXED,
+            mixed_pattern(),
+        )
+            .prop_map(|(lhs, rhs, rhs_pat)| {
+                Cfd::new(lhs.into_iter().collect(), rhs, rhs_pat).expect("valid")
+            }),
+        1 => (0usize..MIXED, 1usize..MIXED)
+            .prop_map(|(a, d)| Cfd::attr_eq(a, (a + d) % MIXED).expect("distinct")),
+        1 => (0usize..MIXED, mixed_value()).prop_map(|(a, v)| Cfd::const_col(a, v)),
+    ]
+}
+
+/// `phi` with attribute `a` moved to `SPREAD[a]`.
+fn spread(phi: &Cfd) -> Cfd {
+    let lhs = phi
+        .lhs()
+        .iter()
+        .map(|(a, p)| (SPREAD[*a], p.clone()))
+        .collect();
+    Cfd::new(lhs, SPREAD[phi.rhs_attr()], phi.rhs_pattern().clone()).expect("valid")
+}
+
+/// A mixed case, either as generated over `MIXED` attributes or spread
+/// over a 130-attribute schema whose other attributes are `int`.
+fn layout(
+    wide: bool,
+    domains: Vec<DomainKind>,
+    sigma: Vec<Cfd>,
+    goals: Vec<Cfd>,
+) -> (Vec<DomainKind>, Vec<Cfd>, Vec<Cfd>) {
+    if !wide {
+        return (domains, sigma, goals);
+    }
+    let mut wide_domains = vec![DomainKind::Int; SPREAD[MIXED - 1] + 1];
+    for (a, d) in domains.into_iter().enumerate() {
+        wide_domains[SPREAD[a]] = d;
+    }
+    let sigma = sigma.iter().map(spread).collect();
+    let goals = goals.iter().map(spread).collect();
+    (wide_domains, sigma, goals)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 400, .. ProptestConfig::default() })]
+
+    /// The compiled `implies` answers exactly as the two-tuple chase oracle
+    /// on mixed Int/Text/Bool/Enum schemas with `(x ‖ x)` CFDs, constant
+    /// columns and clashing constants, on both sides of the 64-attribute
+    /// word boundary. Goals include Σ's members with their LHS shrunk, the
+    /// tests `MinCover` asks.
+    #[test]
+    fn compiled_implies_matches_chase_oracle(
+        domains in proptest::collection::vec(mixed_domain(), MIXED..=MIXED),
+        sigma in proptest::collection::vec(mixed_cfd(), 0..7),
+        goals in proptest::collection::vec(mixed_cfd(), 1..5),
+        wide in any::<bool>(),
+    ) {
+        let (d, s, mut goals) = layout(wide, domains, sigma, goals);
+        for c in &s {
+            for drop in c.lhs_attrs() {
+                let lhs = c.lhs().iter().filter(|(a, _)| *a != drop).cloned().collect();
+                if let Ok(shrunk) = Cfd::new(lhs, c.rhs_attr(), c.rhs_pattern().clone()) {
+                    goals.push(shrunk);
+                }
+            }
+        }
+        for phi in &goals {
+            prop_assert_eq!(
+                implies(&s, phi, &d),
+                oracle_implies(&s, phi, &d),
+                "Σ = {:?}, φ = {}, domains = {:?}", s, phi, d
+            );
+        }
+    }
+
+    /// `min_cover` over the compiled engine is exactly the oracle's cover:
+    /// same CFDs, same order.
+    #[test]
+    fn min_cover_equals_chase_oracle_min_cover(
+        domains in proptest::collection::vec(mixed_domain(), MIXED..=MIXED),
+        sigma in proptest::collection::vec(mixed_cfd(), 0..9),
+        wide in any::<bool>(),
+    ) {
+        let (d, s, _) = layout(wide, domains, sigma, Vec::new());
+        prop_assert_eq!(min_cover(&s, &d), oracle_min_cover(&s, &d), "Σ = {:?}, domains = {:?}", s, d);
+    }
+}
+
+/// The same two checks on Σ from the §5 generator (10 relations of 10–20
+/// attributes, LHS up to 9, `var%` 40 and 50), per relation, with the
+/// infinite domains of §5 and with a fifth of the attributes boolean, and
+/// with the §5 constant range as well as a narrow one (more constants
+/// shared between CFDs, so more rules fire).
+#[test]
+fn compiled_engine_matches_oracle_on_generated_sigma() {
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = SchemaGenConfig {
+            finite_ratio: if seed % 2 == 0 { 0.0 } else { 0.2 },
+            ..SchemaGenConfig::default()
+        };
+        let catalog = gen_schema(&schema, &mut rng);
+        let cfds = CfdGenConfig {
+            count: 120,
+            lhs_max: 9,
+            var_pct: if seed % 4 < 2 { 0.4 } else { 0.5 },
+            const_range: if seed < 4 { 100_000 } else { 20 },
+            ..CfdGenConfig::default()
+        };
+        let sigma = gen_cfds(&catalog, &cfds, &mut rng);
+        for (rel, schema) in catalog.relations() {
+            let local: Vec<Cfd> = sigma
+                .iter()
+                .filter(|s| s.rel == rel)
+                .map(|s| s.cfd.clone())
+                .collect();
+            let d: Vec<DomainKind> = schema.attributes.iter().map(|a| a.domain.clone()).collect();
+            let mc = min_cover(&local, &d);
+            assert_eq!(
+                mc,
+                oracle_min_cover(&local, &d),
+                "seed {seed}, {}",
+                schema.name
+            );
+            for (i, phi) in local.iter().enumerate() {
+                let rest: Vec<Cfd> = local
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .map(|(_, c)| c.clone())
+                    .collect();
+                assert_eq!(
+                    implies(&rest, phi, &d),
+                    oracle_implies(&rest, phi, &d),
+                    "seed {seed}, {}: {phi}",
+                    schema.name
+                );
+                for goal in [phi.normalize_const_rhs(), phi.to_paper_form()] {
+                    assert_eq!(implies(&mc, &goal, &d), oracle_implies(&mc, &goal, &d));
+                }
+            }
         }
     }
 }

@@ -177,6 +177,10 @@ USAGE:
     cfdprop serve-updates <file.cfd> <file.upd> --view NAME [--shards N] [--view-file FILE]
     cfdprop serve-updates <file.cfd> <file.upd> --data-dir DIR [--fsync POLICY]
                           [--checkpoint-every N] [--loop N]
+    cfdprop serve-updates <file.cfd> <file.upd> --data-dir DIR --listen SOCK
+                          [--linger-ms MS] [--pace-ms MS]
+    cfdprop follow <file.cfd> --connect SOCK [--state-dir DIR] [--shards N] [--view NAME]
+                   [--verify] [--max-retries N] [--seed S]
     cfdprop recover <file.cfd> --data-dir DIR [--verify] [--shards N] [--view NAME]
     cfdprop sql <file.cfd>
     cfdprop cind <file.cfd>

@@ -42,6 +42,30 @@ fn help_prints_usage() {
     assert!(text.contains("cover"));
 }
 
+/// Every subcommand the `run()` dispatch accepts has a usage line in
+/// `--help`.
+#[test]
+fn help_lists_every_dispatched_subcommand() {
+    let src = include_str!("../src/main.rs");
+    let start = src.find("fn run(").expect("run() dispatch");
+    let end = start + src[start..].find("\n}\n").expect("end of run()");
+    let subcommands: Vec<&str> = src[start..end]
+        .split("Some(\"")
+        .skip(1)
+        .filter_map(|arm| arm.split('"').next())
+        .filter(|name| !name.starts_with('-'))
+        .collect();
+    assert!(subcommands.len() >= 12, "{subcommands:?}");
+    let out = cfdprop(&["--help"]);
+    let help = String::from_utf8_lossy(&out.stdout);
+    for name in subcommands {
+        assert!(
+            help.contains(&format!("cfdprop {name} ")),
+            "`{name}` is dispatched but missing from --help"
+        );
+    }
+}
+
 #[test]
 fn unknown_subcommand_fails() {
     let out = cfdprop(&["frobnicate"]);

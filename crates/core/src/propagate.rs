@@ -87,11 +87,12 @@ impl Verdict {
     }
 }
 
-/// Group source CFDs by relation (the chase's group structure).
-pub fn sigma_by_relation(catalog: &Catalog, sigma: &[SourceCfd]) -> Vec<Vec<Cfd>> {
+/// Group source CFDs by relation (the chase's group structure), borrowing
+/// them from `sigma`.
+pub fn sigma_by_relation<'a>(catalog: &Catalog, sigma: &'a [SourceCfd]) -> Vec<Vec<&'a Cfd>> {
     let mut groups = vec![Vec::new(); catalog.len()];
     for s in sigma {
-        groups[s.rel.0].push(s.cfd.clone());
+        groups[s.rel.0].push(&s.cfd);
     }
     groups
 }
@@ -292,7 +293,7 @@ fn unify_premise(
 /// instance, per setting; on success, materialize the counterexample.
 fn find_violation(
     inst: &mut ChaseInstance,
-    groups: &[Vec<Cfd>],
+    groups: &[Vec<&Cfd>],
     catalog: &Catalog,
     reserved: &BTreeSet<Value>,
     setting: Setting,
