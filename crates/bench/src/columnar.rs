@@ -23,7 +23,7 @@ pub const ARITY: usize = 8;
 const ERROR_RATE: f64 = 0.02;
 
 /// A deterministic dirty relation: `n` tuples functionally determined by a
-/// string key in column 0, with ~[`ERROR_RATE`] of the dependent cells
+/// string key in column 0, with ~2% (`ERROR_RATE`) of the dependent cells
 /// corrupted — so every CFD of [`detection_sigma`] finds violations at a
 /// realistic rate instead of in every group. String-typed key columns make
 /// the row-wise baseline pay the heap hash/compare cost the dictionary

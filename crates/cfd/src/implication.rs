@@ -80,7 +80,7 @@ fn check_conclusion(inst: &mut ChaseInstance, phi: &Cfd) -> Conclusion {
 
 /// Infinite-domain implication test `Σ |= φ` via a two-tuple chase
 /// (one-tuple for the `(A → B, (x ‖ x))` form), run on Σ compiled by
-/// [`CompiledSigma`].
+/// `CompiledSigma` (the private `compiled` module).
 ///
 /// Complete when no attribute of `domains` is finite; otherwise `true`
 /// answers remain sound while `false` answers may be spurious (use

@@ -255,6 +255,9 @@ pub struct DeltaDetector {
     arity: usize,
     /// Batch counter driving the group-state stamps (0 is never live).
     epoch: u64,
+    /// Violations holding now: counted once when seeded, then moved by
+    /// every committed diff.
+    violations: usize,
 }
 
 impl DeltaDetector {
@@ -319,6 +322,7 @@ impl DeltaDetector {
             units,
             wild_slot,
             epoch: 0,
+            violations: 0,
         };
 
         // Seed the membership and group indexes from the base rows (the
@@ -340,6 +344,7 @@ impl DeltaDetector {
             }
             det.row_of.insert(t.clone(), row as u32);
         }
+        det.violations = detect_all_coded(&det.rel, &det.coded).len();
         det
     }
 
@@ -370,6 +375,12 @@ impl DeltaDetector {
     /// Materialize the current live relation (reporting boundary).
     pub fn relation(&self) -> Relation {
         self.rel.to_relation(&self.pool)
+    }
+
+    /// Number of violations currently holding, without materializing
+    /// them: a running count moved by every diff.
+    pub fn violation_count(&self) -> usize {
+        self.violations
     }
 
     /// All violations currently holding, in [`crate::detect_all`] order
@@ -473,6 +484,7 @@ impl DeltaDetector {
             added.extend(d.added);
         }
         cancel_common(&mut removed, &mut added);
+        self.violations = self.violations + added.len() - removed.len();
         // Phase 4: reclaim tombstones once they dominate the store.
         if self.rel.needs_compaction() {
             self.compact_now();
@@ -1048,6 +1060,43 @@ mod tests {
         assert_eq!(det.check_insert(&tup(&[1, 99])), vec![0], "unseen RHS");
         assert!(det.check_insert(&tup(&[77, 99])).is_empty(), "fresh group");
         assert_eq!(det.live_len(), 1);
+    }
+
+    #[test]
+    fn violation_count_equals_materialized_len_after_random_batches() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let sigma = vec![
+            Cfd::fd(&[0], 1).unwrap(),
+            Cfd::fd(&[0, 1], 2).unwrap(),
+            Cfd::attr_eq(1, 2).unwrap(),
+            Cfd::new(vec![(0, Pattern::cst(1))], 2, Pattern::cst(3)).unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(7);
+        let row = |rng: &mut StdRng| {
+            tup(&[
+                rng.gen_range(0..4),
+                rng.gen_range(0..4),
+                rng.gen_range(0..4),
+            ])
+        };
+        let seed: Relation = (0..12).map(|_| row(&mut rng)).collect();
+        let mut det = DeltaDetector::new(sigma, &seed);
+        assert_eq!(
+            det.violation_count(),
+            det.current_violations().len(),
+            "seeded count"
+        );
+        for b in 0..200 {
+            let inserts = (0..rng.gen_range(0..6)).map(|_| row(&mut rng)).collect();
+            let deletes = (0..rng.gen_range(0..6)).map(|_| row(&mut rng)).collect();
+            det.apply(&UpdateBatch::new(inserts, deletes));
+            assert_eq!(
+                det.violation_count(),
+                det.current_violations().len(),
+                "batch {b}"
+            );
+        }
     }
 
     #[test]

@@ -63,9 +63,9 @@
 //!                          code[n_rows] × arity     ── column-major
 //! ```
 //!
-//! The checkpoint is encoded from a pinned [`MultiStore::snapshot`], so
-//! the GC horizon cannot pass the epoch being serialized while the
-//! write is in flight.
+//! The checkpoint is encoded from the live rows under a shared borrow of
+//! the store, so no commit and no GC can run while it is serialized; it
+//! takes no snapshot, so checkpointing builds no violation sets.
 //!
 //! # Fsync policy
 //!
@@ -659,14 +659,13 @@ pub struct CheckpointData {
 }
 
 /// Serialize the current state of `store` as checkpoint bytes. The
-/// encoding walks a pinned snapshot, so a concurrent [`MultiStore::gc`]
-/// (from another call site holding the store) can never reclaim the
-/// rows being written.
+/// encoding walks the live rows directly: the shared borrow keeps every
+/// commit and [`MultiStore::gc`] out until it is done, so it takes no
+/// snapshot (and builds no violation set the checkpoint does not need).
 pub fn checkpoint_bytes(store: &MultiStore) -> Vec<u8> {
-    let snap = store.snapshot();
     let pool = store.shared_pool();
     let mut payload = Vec::new();
-    put_u64(&mut payload, snap.epoch());
+    put_u64(&mut payload, store.epoch());
     put_u32(&mut payload, pool.len() as u32);
     for c in 0..pool.len() as Code {
         put_value(&mut payload, pool.value(c));
@@ -674,10 +673,9 @@ pub fn checkpoint_bytes(store: &MultiStore) -> Vec<u8> {
     put_u32(&mut payload, store.rel_count() as u32);
     let mut flat: Vec<Code> = Vec::new();
     for i in 0..store.rel_count() {
-        let rel = snap.rel(RelId(i));
-        let arity = rel.arity();
+        let arity = store.rel_arity(RelId(i));
         flat.clear();
-        rel.for_each_live_code_row(|codes| flat.extend_from_slice(codes));
+        store.for_each_live_code_row(RelId(i), |codes| flat.extend_from_slice(codes));
         let n_rows = flat.len().checked_div(arity).unwrap_or(0);
         put_u32(&mut payload, arity as u32);
         put_u32(&mut payload, n_rows as u32);
@@ -1276,8 +1274,8 @@ impl DurableMultiStore {
         self.store.subscribe(filter, capacity)
     }
 
-    /// Garbage-collect the wrapped store (checkpoints pin their own
-    /// snapshot, so this can run freely between commits).
+    /// Garbage-collect the wrapped store (a checkpoint is serialized
+    /// within one call, so this can run freely between commits).
     pub fn gc(&mut self) -> GcStats {
         self.store.gc()
     }
@@ -1287,8 +1285,8 @@ impl DurableMultiStore {
         self.wal.sync()
     }
 
-    /// Take a checkpoint at the current epoch: serialize from a pinned
-    /// snapshot, write it durably (temp + rename), rotate to a fresh
+    /// Take a checkpoint at the current epoch: serialize the live rows,
+    /// write it durably (temp + rename), rotate to a fresh
     /// log segment, and truncate history — but never the segments a
     /// registered follower cursor or a [`DurableMultiStore::retain_from`]
     /// pin still needs (those survive until the cursor advances or is
@@ -1352,7 +1350,7 @@ impl DurableMultiStore {
         &mut self,
         opts: crate::replica::ShipOptions,
     ) -> crate::replica::LogShipper {
-        // Serialize a fresh snapshot at the *current* epoch (the last
+        // Serialize a fresh checkpoint at the *current* epoch (the last
         // durable checkpoint may trail it, and the shipper only retains
         // frames from here on — snapshot-mode catch-up must cover
         // everything older).

@@ -78,10 +78,10 @@
 //! *set-level*: it has no per-branch join state, its derivation counts
 //! are pinned to 1, and the store refreshes its whole strongly
 //! connected component to the least fixed point
-//! ([`MaterializedView::eval_set`] under Kleene iteration — growing
+//! (`MaterializedView::eval_set` under Kleene iteration — growing
 //! from the current state for insert-only upstream deltas, recomputing
 //! from ∅, delete-and-rederive, otherwise), then diffs old against new
-//! rows with [`MaterializedView::refit_rows`] so the delta machinery
+//! rows with `MaterializedView::refit_rows` so the delta machinery
 //! downstream (bus, detectors, CINDs) is identical either way.
 //!
 //! # Epoch / pin interaction
@@ -1113,7 +1113,7 @@ impl MaterializedView {
 
     /// Number of view violations (both classes) without materializing.
     pub fn violation_count(&self) -> usize {
-        self.detector.current_violations().len() + self.cind.violation_count()
+        self.detector.violation_count() + self.cind.violation_count()
     }
 
     /// Cumulative join-enumeration work across branches (bucket rows

@@ -9,7 +9,7 @@
 //! inclusion after every update. [`MultiStore`] completes the delta
 //! regime across relations:
 //!
-//! * Every relation is a [`crate::sharded::StoreCore`] — the same
+//! * Every relation is a `StoreCore` — the same
 //!   sharded, snapshot-isolated CFD engine behind
 //!   [`crate::sharded::ShardedStore`] — but all cores intern through
 //!   **one** [`SharedPool`]. Code equality is value equality *across
@@ -25,7 +25,7 @@
 //!   yields the exact [`CindDiff`] in `O(|Δ|)` expected time — no
 //!   rescans, including the batch-validator blind spot where deleting
 //!   the last RHS witness *creates* violations.
-//! * A [`crate::catalog::ViewCatalog`] names the store's materialized
+//! * A `ViewCatalog` names the store's materialized
 //!   SPCU views — unions of SPC branches over sources *and other
 //!   views* ([`MultiStore::register_stacked`]). Each commit walks the
 //!   condensation of the view dependency graph in topological order:
@@ -56,7 +56,7 @@ use crate::catalog::{
 };
 use crate::delta::{UpdateBatch, ViolationDiff};
 use crate::matview::{MaterializedView, ViewBuild, ViewDelta, ViewSpec};
-use crate::sharded::{AppliedRows, GcStats, Snapshot, StoreCore};
+use crate::sharded::{fold_diffs, AppliedRows, GcStats, Snapshot, StoreCore};
 use crate::violations::Violation;
 use cfd_cind::delta::{CindDelta, CindDiff, CindViolation, CodeRow};
 use cfd_cind::implication::ImplicationOptions;
@@ -239,6 +239,36 @@ struct MultiSub {
 /// same shape.
 type NodeDelta = (usize, Vec<CodeRow>, Vec<CodeRow>);
 
+/// The CIND violation set shared by the snapshots taken since the last
+/// fold, and the commits after it that moved it, oldest first (shared
+/// with the bus, not copied).
+struct CindTip {
+    set: Arc<Vec<CindViolation>>,
+    pending: Vec<Arc<MultiCommit>>,
+    /// Rows `pending` holds, every diff and view delta counted: once
+    /// they outnumber `set`, the tip is dropped and the next snapshot
+    /// rebuilds it.
+    rows: usize,
+}
+
+/// Rows one commit holds: both violation diffs plus every view delta's
+/// rows and diffs.
+fn commit_rows(c: &MultiCommit) -> usize {
+    let views: usize = c
+        .views
+        .iter()
+        .map(|v| {
+            v.rows_added.len()
+                + v.rows_removed.len()
+                + v.cfd.added.len()
+                + v.cfd.removed.len()
+                + v.cind.added.len()
+                + v.cind.removed.len()
+        })
+        .sum();
+    c.cfd.added.len() + c.cfd.removed.len() + c.cind.added.len() + c.cind.removed.len() + views
+}
+
 /// The cross-relation live store. See the [module docs](self).
 pub struct MultiStore {
     pool: SharedPool,
@@ -249,6 +279,11 @@ pub struct MultiStore {
     epoch: u64,
     /// CIND violations holding now, in (cind, tuple) order.
     cind_current: BTreeSet<CindViolation>,
+    /// The CIND set the last snapshot shared, plus the commits since
+    /// that moved it (see [`MultiStore::snapshot`]). Interior-mutable
+    /// like `view_snaps`; `None` until someone reads, and again once the
+    /// retained rows outnumber the set.
+    cind_tip: Mutex<Option<CindTip>>,
     /// View name/dependency bookkeeping: slot records, refresh order,
     /// cycle analysis. The materialized states live in `views` below,
     /// indexed by slot.
@@ -347,6 +382,7 @@ impl MultiStore {
             cind,
             epoch: 0,
             cind_current,
+            cind_tip: Mutex::new(None),
             catalog: ViewCatalog::new(n_sources),
             views: Vec::new(),
             tries: TrieStore::new(),
@@ -1008,7 +1044,7 @@ impl MultiStore {
     pub fn violation_count(&self) -> usize {
         self.cores
             .iter()
-            .map(|c| c.current_violations().len())
+            .map(StoreCore::violation_count)
             .sum::<usize>()
             + self.cind_current.len()
             + self
@@ -1048,10 +1084,25 @@ impl MultiStore {
     /// CFD violations, the CIND violation set, and every live view
     /// (contents + both violation classes), all as of the same
     /// epoch — the whole catalog cut. GC in every core respects the
-    /// pin until the snapshot (and all its clones) drop. View states
-    /// are materialized at most once per change — snapshots across
-    /// epochs that did not move a view share one cached
-    /// [`ViewSnapshot`].
+    /// pin until the snapshot (and all its clones) drop.
+    ///
+    /// The source violation sets are not deep-copied per read. Each
+    /// core's CFD set and the CIND set are shared `Arc<Vec<_>>` tips,
+    /// brought forward by the diffs committed since the last snapshot,
+    /// netted and folded in one pass: comparisons for what changed, one
+    /// move (not a clone) per violation held — in place, or with one
+    /// copy when a snapshot still alive shares the tip (see
+    /// [`crate::sharded`]). The commits
+    /// that moved the CIND set are kept for its fold (shared with the
+    /// bus, not copied) only while a tip exists and only while their
+    /// rows do not outnumber it; past that the tip is dropped with them,
+    /// and the next snapshot rebuilds the set from the live one. A store
+    /// nobody reads retains no commits (a durable checkpoint serializes
+    /// the live rows without taking a snapshot).
+    ///
+    /// View states are materialized at most once per change —
+    /// snapshots across epochs that did not move a view share one
+    /// cached [`ViewSnapshot`].
     pub fn snapshot(&self) -> MultiSnapshot {
         let views = self
             .views
@@ -1073,9 +1124,34 @@ impl MultiStore {
         MultiSnapshot {
             epoch: self.epoch,
             snaps: self.cores.iter().map(|c| c.snapshot(&self.pool)).collect(),
-            cind: Arc::new(self.cind_violations()),
+            cind: self.cind_tip(),
             views,
         }
+    }
+
+    /// The CIND violation set now, shared with the last snapshot's: the
+    /// cached tip folds in the CIND diffs committed since, netted into
+    /// one and folded in one pass (see [`crate::sharded`]) — in place,
+    /// unless a live snapshot still shares it, in which case it is
+    /// copied once. Without a tip (nobody read yet, or the retained
+    /// commits outgrew it) the set is rebuilt from the live one.
+    fn cind_tip(&self) -> Arc<Vec<CindViolation>> {
+        let mut slot = self.cind_tip.lock().expect("snapshot tip");
+        let tip = slot.get_or_insert_with(|| CindTip {
+            set: Arc::new(self.cind_violations()),
+            pending: Vec::new(),
+            rows: 0,
+        });
+        fold_diffs(
+            &mut tip.set,
+            tip.pending
+                .iter()
+                .map(|c| (c.cind.removed.as_slice(), c.cind.added.as_slice())),
+            Ord::cmp,
+        );
+        tip.pending.clear();
+        tip.rows = 0;
+        Arc::clone(&tip.set)
     }
 
     /// Apply one batch to relation `rel` (deletes first, then inserts),
@@ -1141,6 +1217,19 @@ impl MultiStore {
             views,
             refresh: self.last_refresh,
         });
+        // Retain the commit for the next snapshot's CIND fold only while
+        // a tip exists and the retained rows stay within its size.
+        if !mc.cind.is_empty() {
+            let slot = self.cind_tip.get_mut().expect("snapshot tip");
+            let keep = slot.as_mut().is_some_and(|t| {
+                t.rows += commit_rows(&mc);
+                t.rows <= t.set.len()
+            });
+            match slot {
+                Some(t) if keep => t.pending.push(Arc::clone(&mc)),
+                _ => *slot = None,
+            }
+        }
         self.publish(&mc);
         (mc, applied)
     }
@@ -1161,6 +1250,19 @@ impl MultiStore {
     /// tracks pool growth to make replay re-intern-free).
     pub(crate) fn shared_pool(&self) -> &SharedPool {
         &self.pool
+    }
+
+    /// Relation `rel`'s arity (0 while it is still empty) — durable-layer
+    /// hook, with [`MultiStore::for_each_live_code_row`].
+    pub(crate) fn rel_arity(&self, rel: RelId) -> usize {
+        self.cores[rel.0].arity()
+    }
+
+    /// Visit every live code row of relation `rel`, shard by shard
+    /// (durable-layer hook: a checkpoint serializes the live state
+    /// directly, with no snapshot and so no violation tips).
+    pub(crate) fn for_each_live_code_row(&self, rel: RelId, f: impl FnMut(&[Code])) {
+        self.cores[rel.0].for_each_live_code_row(f);
     }
 
     /// Apply one batch of a multi-relation update script: `stmts` are
@@ -1259,7 +1361,11 @@ impl MultiStore {
 /// A consistent cross-relation cut of a [`MultiStore`] at one global
 /// epoch: one epoch-pinned [`Snapshot`] per relation plus the CIND
 /// violation set. `Send + Sync`; never blocks the writer; unpins every
-/// core on drop. Cloning shares the pins.
+/// core on drop. Cloning shares the pins. The violation sets are
+/// immutable and shared with the store's snapshot tips, so a snapshot
+/// costs what changed since the previous one, and holding it across
+/// later commits makes the next snapshot copy a tip once (see
+/// [`MultiStore::snapshot`]).
 #[derive(Clone)]
 pub struct MultiSnapshot {
     epoch: u64,

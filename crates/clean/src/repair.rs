@@ -20,8 +20,8 @@
 //! The whole loop runs on dictionary codes: the input relation is encoded
 //! once into a [`ColumnarRelation`] (with every pattern constant interned
 //! up front, since a fix may write a constant absent from the data), rounds
-//! detect and patch `u32` code rows, and [`Value`]s are materialized once
-//! at the end.
+//! detect and patch `u32` code rows, and [`Value`](cfd_relalg::Value)s
+//! are materialized once at the end.
 
 use crate::violations::{detect_all_coded, CodedViolation, CodedViolationKind};
 use cfd_model::cfd::Cfd;

@@ -53,10 +53,24 @@
 //!   registry and captures, per shard, an immutable chunked view of the
 //!   columns and epoch stamps (the arc-swapped per-shard version
 //!   vector: O(len / chunk) pointer copies, no data copy) plus the
-//!   current violation set. The [`Snapshot`] owns everything it needs —
-//!   readers never lock, never block the writer, and can outlive any
-//!   number of later commits. Writer mutations copy-on-write only the
-//!   chunks a live view still shares.
+//!   violation set at the pinned epoch. The [`Snapshot`] owns
+//!   everything it needs — readers never lock, never block the writer,
+//!   and can outlive any number of later commits. Writer mutations
+//!   copy-on-write only the chunks a live view still shares.
+//! * The violation set is a shared, immutable `Arc<Vec<Violation>>`
+//!   *tip*, cached by the store and handed to every snapshot taken at
+//!   the same epoch. The next snapshot brings the tip forward from the
+//!   commit records `gc` keeps anyway: the diffs of all the commits
+//!   since net out into one, which is folded in one pass. For `Δ` diff
+//!   entries and `V` violations a read costs `O(Δ · log(Δ + V))`
+//!   comparisons and `V` moves of the violation structs (no violation
+//!   is cloned), however many commits it spans — not a deep copy of all
+//!   `V` violations with their tuples. The fold works in place when no live
+//!   snapshot shares the tip; when one does, the fold copies the tip
+//!   once and the held snapshot keeps the old one, so a snapshot held
+//!   across commits costs one copy per renewal, never one per read. A
+//!   tip that `gc` folded past restarts from the floor. The tip retains
+//!   nothing beyond itself: the writer never touches it.
 //! * [`ShardedStore::gc`] advances the history floor to the oldest
 //!   pinned epoch (or the current epoch when nothing is pinned): commit
 //!   records at or below the floor fold into the floor violation set,
@@ -88,6 +102,7 @@ use cfd_relalg::pool::{Code, ValuePool};
 use cfd_relalg::versioned::{PoolView, RowsView, SharedPool, VersionedRows};
 use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHasher};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -331,6 +346,13 @@ impl PartialOrd for OrderedViolation {
     }
 }
 
+/// The violation set as of `epoch`, shared with every snapshot taken
+/// there. The next snapshot brings it forward from the retained commits.
+struct Tip {
+    epoch: u64,
+    set: Arc<Vec<Violation>>,
+}
+
 /// The row changes one committed batch actually applied, after set
 /// semantics resolved them: code rows of the deletes that hit residents
 /// and the inserts that were new. This is the store's hand-off to
@@ -370,6 +392,10 @@ pub(crate) struct StoreCore {
     floor_epoch: u64,
     /// Commits above the floor, oldest first.
     commits: VecDeque<Arc<Commit>>,
+    /// The violation set the last snapshot shared (see
+    /// [`StoreCore::snapshot`]); interior-mutable so `snapshot` keeps
+    /// its `&self` contract (the writer never takes the lock).
+    tip: Mutex<Option<Tip>>,
     /// Pinned epochs → pin counts, shared with every [`Snapshot`].
     pins: Arc<Mutex<BTreeMap<u64, usize>>>,
     subs: Vec<BusSub>,
@@ -516,6 +542,7 @@ impl StoreCore {
             floor: Arc::new(Vec::new()),
             floor_epoch: 0,
             commits: VecDeque::new(),
+            tip: Mutex::new(None),
             pins: Arc::new(Mutex::new(BTreeMap::new())),
             subs: Vec::new(),
             shed_subs: 0,
@@ -605,6 +632,11 @@ impl StoreCore {
         self.epoch
     }
 
+    /// Relation arity (0 while the store is still empty).
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
     /// The oldest epoch still reconstructable (advanced by
     /// [`ShardedStore::gc`]).
     pub fn floor_epoch(&self) -> u64 {
@@ -649,6 +681,12 @@ impl StoreCore {
         self.current.iter().map(|v| v.0.clone()).collect()
     }
 
+    /// Number of violations currently holding, without materializing
+    /// them.
+    pub fn violation_count(&self) -> usize {
+        self.current.len()
+    }
+
     /// Materialize the current live relation (reporting boundary).
     pub fn relation(&self, pool: &SharedPool) -> Relation {
         self.scan_at(self.epoch, pool)
@@ -681,14 +719,10 @@ impl StoreCore {
         if epoch < self.floor_epoch || epoch > self.epoch {
             return None;
         }
-        let mut state: Vec<Violation> = self.floor.as_ref().clone();
-        for c in &self.commits {
-            if c.epoch > epoch {
-                break;
-            }
-            apply_sorted_diff(&mut state, &c.diff);
-        }
-        Some(state)
+        let mut state = Arc::clone(&self.floor);
+        let upto = self.commits.partition_point(|c| c.epoch <= epoch);
+        fold_commits(&mut state, self.commits.range(..upto));
+        Some(Arc::unwrap_or_clone(state))
     }
 
     /// Subscribe to every future commit through a bounded channel of
@@ -727,7 +761,10 @@ impl StoreCore {
     }
 
     /// Pin the current epoch and capture an immutable [`Snapshot`] of
-    /// it. O(total chunks) pointer copies — no row data is copied.
+    /// it: O(total chunks) pointer copies for the rows, and the shared
+    /// violation tip brought forward by the diffs committed since the
+    /// last snapshot (see [`StoreCore::tip`] and the
+    /// [module docs](self)).
     pub fn snapshot(&self, pool: &SharedPool) -> Snapshot {
         *self
             .pins
@@ -740,9 +777,29 @@ impl StoreCore {
             arity: self.arity,
             shards: self.shards.iter().map(|s| s.rows.view()).collect(),
             pool: pool.view(),
-            violations: Arc::new(self.current_violations()),
+            violations: self.tip(),
             pins: Arc::clone(&self.pins),
         }
+    }
+
+    /// The violation set at the current epoch, shared with the last
+    /// snapshot's. The cached tip folds in the diffs of all the commits
+    /// after it in one pass — in place, unless a live snapshot still
+    /// shares it, in which case it is copied once. A tip that
+    /// [`StoreCore::gc`] has folded past restarts from the floor.
+    fn tip(&self) -> Arc<Vec<Violation>> {
+        let mut tip = self.tip.lock().expect("snapshot tip");
+        let (from, mut set) = match tip.take() {
+            Some(t) if t.epoch >= self.floor_epoch => (t.epoch, t.set),
+            _ => (self.floor_epoch, Arc::clone(&self.floor)),
+        };
+        let after = self.commits.partition_point(|c| c.epoch <= from);
+        fold_commits(&mut set, self.commits.range(after..));
+        *tip = Some(Tip {
+            epoch: self.epoch,
+            set: Arc::clone(&set),
+        });
+        set
     }
 
     /// Apply one batch of updates (deletes first, then inserts), commit
@@ -1003,16 +1060,10 @@ impl StoreCore {
         };
         // Fold commits at or below the horizon into the floor.
         if horizon > self.floor_epoch {
-            let mut base = self.floor.as_ref().clone();
-            while let Some(front) = self.commits.front() {
-                if front.epoch > horizon {
-                    break;
-                }
-                apply_sorted_diff(&mut base, &front.diff);
-                self.commits.pop_front();
-                stats.pruned_commits += 1;
-            }
-            self.floor = Arc::new(base);
+            let upto = self.commits.partition_point(|c| c.epoch <= horizon);
+            fold_commits(&mut self.floor, self.commits.range(..upto));
+            self.commits.drain(..upto);
+            stats.pruned_commits += upto;
             self.floor_epoch = horizon;
         }
         // Physically reclaim rows no retained epoch can see. Views held
@@ -1087,8 +1138,8 @@ impl StoreCore {
     }
 }
 
-/// The sharded live store over one relation: a [`StoreCore`] paired with
-/// its own dictionary pool. See the [module docs](self) for the
+/// The sharded live store over one relation: a `StoreCore` engine paired
+/// with its own dictionary pool. See the [module docs](self) for the
 /// architecture and the epoch/snapshot protocol. Multi-relation serving
 /// (one pool, one epoch clock, CIND maintenance across relations) lives
 /// in [`crate::multistore::MultiStore`], which drives the same core.
@@ -1189,7 +1240,10 @@ impl ShardedStore {
     }
 
     /// Pin the current epoch and capture an immutable [`Snapshot`] of
-    /// it. O(total chunks) pointer copies — no row data is copied.
+    /// it: O(total chunks) pointer copies for the rows — no row data is
+    /// copied — and the shared violation tip, brought forward by the
+    /// diffs committed since the last snapshot (see the
+    /// [module docs](self) for when that copies).
     pub fn snapshot(&self) -> Snapshot {
         self.core.snapshot(&self.pool)
     }
@@ -1253,23 +1307,6 @@ impl Snapshot {
                     .count()
             })
             .sum()
-    }
-
-    /// Visit every code row live at the pinned epoch. Checkpoint-time
-    /// helper: the durable layer serializes exactly what this snapshot
-    /// pins, so concurrent GC can never reclaim rows out from under a
-    /// checkpoint in progress.
-    pub(crate) fn for_each_live_code_row(&self, mut f: impl FnMut(&[Code])) {
-        let mut buf: Vec<Code> = Vec::new();
-        for rows in &self.shards {
-            for row in 0..rows.len() as u32 {
-                if rows.live_at(row, self.epoch) {
-                    buf.clear();
-                    buf.extend(rows.row_codes(row));
-                    f(&buf);
-                }
-            }
-        }
     }
 
     /// Materialize the live relation at the pinned epoch.
@@ -1509,41 +1546,104 @@ fn process_owner_unit(
     }
 }
 
-/// Apply a sorted diff to a sorted violation state in one merge pass:
-/// drop `diff.removed` (each must be present), weave in `diff.added`
-/// (each must be absent).
-fn apply_sorted_diff(state: &mut Vec<Violation>, diff: &ViolationDiff) {
-    if diff.removed.is_empty() && diff.added.is_empty() {
-        return;
-    }
-    let old = std::mem::take(state);
-    let mut out =
-        Vec::with_capacity(old.len() + diff.added.len() - diff.removed.len().min(old.len()));
-    let mut rm = diff.removed.iter().peekable();
-    let mut ad = diff.added.iter().peekable();
-    for v in old {
-        while let Some(a) = ad.peek() {
-            if violation_order(a, &v) == std::cmp::Ordering::Less {
-                out.push((*a).clone());
-                ad.next();
-            } else {
-                break;
-            }
-        }
-        if let Some(r) = rm.peek() {
-            if violation_order(r, &v) == std::cmp::Ordering::Equal {
-                rm.next();
-                continue;
-            }
-        }
-        out.push(v);
-    }
-    out.extend(ad.cloned());
-    debug_assert!(
-        rm.peek().is_none(),
-        "diff removed a violation not in the state"
+/// Fold the diffs of a run of commits, oldest first, into a shared,
+/// sorted violation set (see [`fold_diffs`]).
+fn fold_commits<'a>(set: &mut Arc<Vec<Violation>>, commits: impl Iterator<Item = &'a Arc<Commit>>) {
+    fold_diffs(
+        set,
+        commits.map(|c| (c.diff.removed.as_slice(), c.diff.added.as_slice())),
+        violation_order,
     );
-    *state = out;
+}
+
+/// Fold a run of `(removed, added)` diffs, oldest first, into a shared,
+/// sorted set in one pass: the diffs first net out into one — an
+/// element's changes alternate, so its first change says whether it was
+/// in the set before the run and its last whether it is after — and the
+/// net diff is then folded once. For `Δ` diff entries and a set of `V`
+/// a fold costs `O(Δ · log(Δ + V))` comparisons plus one move per
+/// element of the set, however many commits the run spans. The set is
+/// copied first only when the net diff is non-empty and someone else
+/// still shares it.
+pub(crate) fn fold_diffs<'a, T: Clone + 'a>(
+    set: &mut Arc<Vec<T>>,
+    diffs: impl IntoIterator<Item = (&'a [T], &'a [T])>,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) {
+    let mut changes: Vec<(&T, bool)> = Vec::new();
+    for (removed, added) in diffs {
+        changes.extend(removed.iter().map(|v| (v, false)));
+        changes.extend(added.iter().map(|v| (v, true)));
+    }
+    // Stable, so each element's changes stay in commit order.
+    changes.sort_by(|a, b| cmp(a.0, b.0));
+    let (mut removed, mut added) = (Vec::new(), Vec::new());
+    for run in changes.chunk_by(|a, b| cmp(a.0, b.0) == Ordering::Equal) {
+        match (run[0], run[run.len() - 1].1) {
+            ((v, false), false) => removed.push(v),
+            ((v, true), true) => added.push(v),
+            _ => {}
+        }
+    }
+    if !removed.is_empty() || !added.is_empty() {
+        fold_sorted(Arc::make_mut(set), removed, added.into_iter().cloned(), cmp);
+    }
+}
+
+/// Fold a sorted diff into a sorted set: drop each of `removed` (each
+/// must be present) and weave in each of `added` (each must be absent;
+/// the two lists are disjoint). Each diff entry finds its place by a
+/// galloping search from the previous one, and the untouched runs
+/// between entries move over in bulk, so a fold costs
+/// `O(|diff| · log(|set| / |diff|))` comparisons and one move per
+/// element — no element of the set is cloned, and `added` is moved in.
+fn fold_sorted<'a, T: 'a>(
+    set: &mut Vec<T>,
+    removed: impl IntoIterator<Item = &'a T>,
+    added: impl IntoIterator<Item = T>,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) {
+    let mut rest = std::mem::take(set).into_iter();
+    let mut ad = added.into_iter().peekable();
+    let mut out = Vec::with_capacity(rest.len() + ad.size_hint().0);
+    let mut rm = removed.into_iter().peekable();
+    loop {
+        let removal_first = match (rm.peek(), ad.peek()) {
+            (None, None) => break,
+            (Some(r), Some(a)) => cmp(a, r) != Ordering::Less,
+            (r, _) => r.is_some(),
+        };
+        if removal_first {
+            let Some(r) = rm.next() else { break };
+            let run = gallop(rest.as_slice(), |v| cmp(v, r) == Ordering::Less);
+            out.extend(rest.by_ref().take(run));
+            let gone = rest.next();
+            debug_assert!(
+                gone.is_some_and(|g| cmp(&g, r) == Ordering::Equal),
+                "diff removed an element not in the set"
+            );
+        } else {
+            let Some(a) = ad.next() else { break };
+            let run = gallop(rest.as_slice(), |v| cmp(v, &a) == Ordering::Less);
+            out.extend(rest.by_ref().take(run));
+            out.push(a);
+        }
+    }
+    out.extend(rest);
+    *set = out;
+}
+
+/// The length of the prefix of `s` on which `below` holds (`below` must
+/// hold on a prefix only), found by doubling then bisecting: `O(log p)`
+/// probes for an answer `p`.
+fn gallop<T>(s: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let mut hi = 1;
+    while hi <= s.len() && below(&s[hi - 1]) {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    let end = (hi - 1).min(s.len());
+    lo + s[lo..end].partition_point(below)
 }
 
 #[cfg(test)]
@@ -1552,6 +1652,7 @@ mod tests {
     use crate::detect_all;
     use cfd_model::pattern::Pattern;
     use cfd_relalg::Value;
+    use std::collections::BTreeSet;
 
     fn tup(vs: &[i64]) -> Tuple {
         vs.iter().map(|v| Value::int(*v)).collect()
@@ -1646,6 +1747,68 @@ mod tests {
         // Historical reads through the store agree with the snapshots.
         assert_eq!(store.violations_at(1).unwrap(), s1.violations());
         assert_eq!(store.scan_at(0).unwrap(), s0.relation());
+    }
+
+    #[test]
+    fn fold_diffs_equals_applying_each_diff_in_turn() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        for case in 0..500 {
+            let span = [4, 64, 4096][case % 3];
+            let mut want: BTreeSet<u32> = (0..rng.gen_range(0..200))
+                .map(|_| rng.gen_range(0..span))
+                .collect();
+            let start: Vec<u32> = want.iter().copied().collect();
+            // A run of diffs, each valid against the set it follows, so
+            // elements get removed, re-added and removed again.
+            let mut diffs: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+            for _ in 0..rng.gen_range(0..6) {
+                let removed: Vec<u32> =
+                    want.iter().copied().filter(|_| rng.gen_bool(0.2)).collect();
+                let added: BTreeSet<u32> = (0..rng.gen_range(0..40))
+                    .map(|_| rng.gen_range(0..span))
+                    .filter(|v| !want.contains(v))
+                    .collect();
+                for v in &removed {
+                    want.remove(v);
+                }
+                want.extend(&added);
+                diffs.push((removed, added.into_iter().collect()));
+            }
+            let mut folded = Arc::new(start.clone());
+            let held = Arc::clone(&folded);
+            fold_diffs(
+                &mut folded,
+                diffs.iter().map(|(r, a)| (r.as_slice(), a.as_slice())),
+                u32::cmp,
+            );
+            assert_eq!(*folded, want.into_iter().collect::<Vec<_>>(), "case {case}");
+            assert_eq!(*held, start, "a shared set is copied, not changed");
+        }
+    }
+
+    #[test]
+    fn snapshots_share_one_tip_and_held_ones_keep_theirs() {
+        let sigma = vec![Cfd::fd(&[0], 1).unwrap()];
+        let rows: Vec<&[i64]> = vec![&[1, 2], &[1, 3], &[2, 4], &[2, 5]];
+        let mut store = ShardedStore::new(sigma, &base(&rows), 2);
+        let a = store.snapshot();
+        let b = store.snapshot();
+        assert!(
+            std::ptr::eq(a.violations(), b.violations()),
+            "no commit in between: one shared set, no copy"
+        );
+        store.apply(&UpdateBatch::inserts(vec![tup(&[3, 6]), tup(&[3, 7])]));
+        let c = store.snapshot();
+        assert_eq!(c.violations(), store.current_violations().as_slice());
+        assert_eq!(a.violations().len(), 2, "held snapshot keeps its epoch");
+        drop((a, b));
+        store.apply(&UpdateBatch::deletes(vec![tup(&[1, 2])]));
+        drop(c);
+        let d = store.snapshot();
+        assert_eq!(d.violations(), store.current_violations().as_slice());
+        assert_eq!(d.violations().len(), 2);
     }
 
     #[test]

@@ -247,6 +247,20 @@ fn check_against_oracle(store: &MultiStore, dag: &Dag, live: &[bool], ctx: &str)
             "{ctx}: maintained view v{k} ≠ fresh evaluation"
         );
     }
+    // The running counts agree with the materialized sets.
+    let materialized = (0..dag.n_base)
+        .map(|i| store.cfd_violations(RelId(i)).len())
+        .sum::<usize>()
+        + store.cind_violations().len()
+        + (0..live.len())
+            .filter(|&k| live[k])
+            .map(|k| store.view_cfd_violations(k).len() + store.view_cind_violations(k).len())
+            .sum::<usize>();
+    assert_eq!(
+        store.violation_count(),
+        materialized,
+        "{ctx}: violation_count ≠ materialized lengths"
+    );
 }
 
 /// Does view `j` read slot `k` directly?

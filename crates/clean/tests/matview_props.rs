@@ -372,6 +372,20 @@ fn run_one(n_rel: usize, shards: usize, seed: u64) {
             "{}",
             ctx("replayed view-CIND diffs ≠ nested-loop reference")
         );
+
+        // 4. The running violation count equals the materialized sets.
+        let materialized = (0..n_rel)
+            .map(|i| store.cfd_violations(RelId(i)).len())
+            .sum::<usize>()
+            + store.cind_violations().len()
+            + fresh_cfd.len()
+            + expected_cind.len();
+        assert_eq!(
+            store.violation_count(),
+            materialized,
+            "{}",
+            ctx("violation_count ≠ materialized lengths")
+        );
     }
 }
 

@@ -28,7 +28,9 @@
 
 use cfd_cind::delta::CindViolation;
 use cfd_cind::Cind;
-use cfd_clean::{detect_all, MultiStore, RelationSpec, UpdateBatch};
+use cfd_clean::{
+    detect_all, MultiCommit, MultiSnapshot, MultiStore, RelationSpec, UpdateBatch, Violation,
+};
 use cfd_datagen::cfd_gen::random_value;
 use cfd_datagen::{gen_cfds, gen_cinds, gen_schema, CfdGenConfig, CindGenConfig, SchemaGenConfig};
 use cfd_relalg::instance::{Database, Relation, Tuple};
@@ -238,6 +240,7 @@ fn assert_in_sync(store: &MultiStore, catalog: &Catalog, mirror: &Mirror, ctx: &
 #[test]
 fn differential_fuzz_delta_equals_rescan_equals_nested_loop() {
     let mut interleavings = 0usize;
+    let mut cadences = Coverage::default();
     for seed in 0..50u64 {
         for n_rel in [2usize, 3] {
             for shards in [1usize, 4] {
@@ -255,6 +258,9 @@ fn differential_fuzz_delta_equals_rescan_equals_nested_loop() {
                 // the final state.
                 let mut replayed: BTreeSet<CindViolation> =
                     store.cind_violations().into_iter().collect();
+                // Snapshots on their own random cadence (a separate rng,
+                // so the interleaving itself is unchanged).
+                let mut reads = Reads::new(seed * 4 + n_rel as u64 * 2 + shards as u64);
                 for b in 0..6 {
                     let rel = RelId(rng.gen_range(0..n_rel));
                     let batch = random_batch(&w.catalog, rel, &mirror[rel.0], &mut rng);
@@ -262,6 +268,7 @@ fn differential_fuzz_delta_equals_rescan_equals_nested_loop() {
                     fold(&mut mirror[rel.0], &batch);
                     let ctx = format!("seed {seed}, n_rel {n_rel}, shards {shards}, batch {b}");
                     assert_in_sync(&store, &w.catalog, &mirror, &ctx);
+                    reads.after_commit(&mut store, &commit, &ctx);
                     for v in &commit.cind.removed {
                         assert!(replayed.remove(v), "{ctx}: stream retired absent violation");
                     }
@@ -275,11 +282,151 @@ fn differential_fuzz_delta_equals_rescan_equals_nested_loop() {
                 let current: BTreeSet<CindViolation> =
                     store.cind_violations().into_iter().collect();
                 assert_eq!(replayed, current, "diff stream replay diverged");
+                reads.check_held();
+                cadences.add(&reads);
                 interleavings += 1;
             }
         }
     }
     assert!(interleavings >= 200, "acceptance floor: {interleavings}");
+    cadences.assert_covered();
+}
+
+/// How [`Reads`] takes snapshots.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cadence {
+    /// After every commit, dropped at once: the shared tip is folded in
+    /// place.
+    EveryCommit,
+    /// Only once the CIND diff rows committed since the last snapshot
+    /// outnumber its CIND set — the store's retention bound — so the
+    /// next read rebuilds instead of folding.
+    PastRetention,
+    /// At random, held across later commits and `gc()`: folds copy the
+    /// shared tip, and held snapshots must keep their captured state.
+    Held,
+}
+
+/// A snapshot and the state it captured.
+type HeldSnap = (MultiSnapshot, Vec<Vec<Violation>>, Vec<CindViolation>);
+
+/// Takes snapshots of one interleaving on a random cadence and checks
+/// each against a fresh materialization at its epoch.
+struct Reads {
+    rng: StdRng,
+    cadence: Cadence,
+    /// CIND diff rows committed since the last snapshot, and the size of
+    /// that snapshot's CIND set.
+    since: usize,
+    last_len: usize,
+    held: Vec<HeldSnap>,
+    /// Snapshots taken, and those taken past the retention bound.
+    taken: usize,
+    past_bound: usize,
+}
+
+impl Reads {
+    fn new(seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(0x5AA9 ^ seed);
+        let cadence =
+            [Cadence::EveryCommit, Cadence::PastRetention, Cadence::Held][rng.gen_range(0..3usize)];
+        Reads {
+            rng,
+            cadence,
+            since: 0,
+            last_len: 0,
+            held: Vec::new(),
+            taken: 0,
+            past_bound: 0,
+        }
+    }
+
+    fn after_commit(&mut self, store: &mut MultiStore, commit: &MultiCommit, ctx: &str) {
+        self.since += commit.cind.added.len() + commit.cind.removed.len();
+        let past = self.since > self.last_len;
+        let take = match self.cadence {
+            Cadence::EveryCommit => true,
+            Cadence::PastRetention => past,
+            Cadence::Held => self.rng.gen_bool(0.5),
+        };
+        if take {
+            let snap = store.snapshot();
+            let cfd: Vec<Vec<Violation>> = (0..store.rel_count())
+                .map(|i| store.cfd_violations(RelId(i)))
+                .collect();
+            let cind = store.cind_violations();
+            for (i, fresh) in cfd.iter().enumerate() {
+                assert_eq!(
+                    snap.cfd_violations(RelId(i)),
+                    fresh.as_slice(),
+                    "{ctx}: snapshot CFD set of relation {i} is not the fresh one"
+                );
+            }
+            assert_eq!(
+                snap.cind_violations(),
+                cind.as_slice(),
+                "{ctx}: snapshot CIND set is not the fresh one"
+            );
+            self.taken += 1;
+            self.past_bound += usize::from(past && self.since > 0);
+            self.since = 0;
+            self.last_len = cind.len();
+            if self.cadence == Cadence::Held {
+                self.held.push((snap, cfd, cind));
+            }
+        }
+        if self.rng.gen_bool(0.3) {
+            store.gc();
+        }
+    }
+
+    fn check_held(&self) {
+        for (snap, cfd, cind) in &self.held {
+            for (i, captured) in cfd.iter().enumerate() {
+                assert_eq!(
+                    snap.cfd_violations(RelId(i)),
+                    captured.as_slice(),
+                    "held snapshot at epoch {}: CFD set of relation {i} moved",
+                    snap.epoch()
+                );
+            }
+            assert_eq!(
+                snap.cind_violations(),
+                cind.as_slice(),
+                "held snapshot at epoch {}: CIND set moved",
+                snap.epoch()
+            );
+        }
+    }
+}
+
+/// What the snapshot cadences of a whole run exercised.
+#[derive(Default)]
+struct Coverage {
+    /// Snapshots taken per cadence, in [`Cadence`] order.
+    taken: [usize; 3],
+    /// Snapshots taken after the retention bound was passed.
+    past_bound: usize,
+    /// Held snapshots still alive at the end of their interleaving.
+    held: usize,
+}
+
+impl Coverage {
+    fn add(&mut self, r: &Reads) {
+        self.taken[r.cadence as usize] += r.taken;
+        self.past_bound += r.past_bound;
+        self.held += r.held.len();
+    }
+
+    fn assert_covered(&self) {
+        assert!(
+            self.taken.iter().all(|&n| n > 0) && self.past_bound > 0 && self.held > 0,
+            "a snapshot cadence went unexercised: taken {:?}, past the bound {}, held {}",
+            self.taken,
+            self.past_bound,
+            self.held
+        );
+    }
 }
 
 /// Metamorphic (satellite): applying a batch and then its exact inverse

@@ -10,7 +10,9 @@
 //! committed diffs reconstructs the violation state, and the per-CFD
 //! filtered streams merged back together are the full stream.
 
-use cfd_clean::{detect_all, DeltaDetector, DiffFilter, ShardedStore, UpdateBatch, Violation};
+use cfd_clean::{
+    detect_all, DeltaDetector, DiffFilter, ShardedStore, Snapshot, UpdateBatch, Violation,
+};
 use cfd_model::cfd::Cfd;
 use cfd_model::pattern::Pattern;
 use cfd_relalg::instance::{Relation, Tuple};
@@ -195,6 +197,47 @@ proptest! {
         prop_assert_eq!(plain.current_violations(), collected.current_violations());
         prop_assert_eq!(plain.relation(), collected.relation());
         prop_assert_eq!(collected.retained_commits(), 0, "nothing pinned: all commits folded");
+    }
+
+    /// A snapshot's violations equal a fresh materialization at its
+    /// epoch, exactly and in order, whatever the read cadence: after
+    /// every commit, after skipped commits, or held across later
+    /// commits and `gc()` — a held snapshot keeps answering with what
+    /// it captured. The per-batch actions are drawn independently:
+    /// `read` 0 skips, 1 reads and drops, 2 reads and holds.
+    #[test]
+    fn snapshots_equal_fresh_materialization(
+        base in proptest::collection::vec(tuple_strategy(), 0..8),
+        batches in proptest::collection::vec(batch_strategy(), 1..8),
+        sigma in proptest::collection::vec(cfd_strategy(), 1..4),
+        n in prop_oneof![Just(1usize), Just(2), Just(7)],
+        reads in proptest::collection::vec((0u8..3, any::<bool>()), 8),
+    ) {
+        let base: Relation = base.into_iter().collect();
+        let mut store = ShardedStore::new(sigma, &base, n);
+        let mut held: Vec<(Snapshot, Vec<Violation>)> = Vec::new();
+        for (b, &(read, gc)) in batches.iter().zip(&reads) {
+            store.apply(b);
+            if read > 0 {
+                let snap = store.snapshot();
+                let fresh = store.current_violations();
+                prop_assert_eq!(snap.violations(), fresh.as_slice(), "epoch {}", snap.epoch());
+                if read == 2 {
+                    held.push((snap, fresh));
+                }
+            }
+            if gc {
+                store.gc();
+            }
+        }
+        for (snap, captured) in &held {
+            prop_assert_eq!(
+                snap.violations(),
+                captured.as_slice(),
+                "held snapshot at epoch {} moved",
+                snap.epoch()
+            );
+        }
     }
 
     /// `violations_at` / `scan_at` reconstruct every retained epoch

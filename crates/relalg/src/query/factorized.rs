@@ -56,7 +56,7 @@
 //!
 //! # Data structures
 //!
-//! Each atom keeps one or more [`AtomTrie`]s: a hash-trie over the
+//! Each atom keeps one or more `AtomTrie`s: a hash-trie over the
 //! atom's variable columns in plan order. Level `k` maps a length-`k`
 //! prefix of variable values to the distinct values of the next column
 //! (with support counts, so deletions unwind exactly); the final level
@@ -73,8 +73,8 @@
 //! the canonical per-component variable orders above make their trie
 //! column orders shareable too. A [`TrieStore`] deduplicates such
 //! states under an [`AtomKey`]: each entry is one refcounted
-//! [`EngineAtom`] that any number of engines reference through
-//! [`AtomSlot::Shared`], so N sibling views over the same upstream
+//! `EngineAtom` that any number of engines reference through
+//! `AtomSlot::Shared`, so N sibling views over the same upstream
 //! maintain one support-counted trie instead of N. Tries *within* an
 //! entry are still deduplicated by column order, and registering a new
 //! column order backfills it from the entry's live rows, so late
@@ -423,7 +423,7 @@ impl TrieStore {
 
     /// Apply one node's committed delta to every entry reading it —
     /// once per entry, however many engines share it, and only to the
-    /// entries each row can enter (the [`NodeRoutes`] index). Deletes
+    /// entries each row can enter (the `NodeRoutes` index). Deletes
     /// must be previously-live node rows and inserts new ones (set
     /// semantics upstream), so admitted deletes are resident and
     /// admitted inserts fresh.
