@@ -2,7 +2,7 @@
 //! multistore's incremental view maintenance + view-side detection
 //! (`cfd_clean::MaterializedView` behind `cfd_clean::MultiStore`)
 //! against full `SpcQuery` re-evaluation (`cfd_relalg::eval::eval_spc`,
-//! itself the hash-join fast path) + `detect_all` rescan, at the §1
+//! itself the factorized fast path) + `detect_all` rescan, at the §1
 //! maintained-store dirtiness (0.5%) and the batch-cleaning rate (2%).
 //! Prints a table and writes `BENCH_view.json`.
 //!

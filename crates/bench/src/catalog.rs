@@ -359,14 +359,11 @@ pub struct WidePoint {
     pub batch: usize,
     /// Batches replayed.
     pub batches: usize,
-    /// Mean per-batch wall time with delta-aware pruning (the default).
+    /// Mean per-batch wall time under the delta-aware scheduler.
     pub pruned_per_batch: Duration,
-    /// Mean per-batch wall time with pruning disabled — every view that
-    /// reads a changed node refreshes (the refresh-everything baseline).
-    pub unpruned_per_batch: Duration,
-    /// Cumulative views refreshed across the replay (pruned store).
+    /// Cumulative views refreshed across the replay.
     pub refreshed: u64,
-    /// Cumulative views skipped across the replay (pruned store).
+    /// Cumulative views skipped across the replay.
     pub skipped: u64,
     /// Distinct shared-trie entries the store maintains.
     pub trie_entries: usize,
@@ -375,16 +372,11 @@ pub struct WidePoint {
     pub trie_refs: usize,
     /// Rows resident across all shared tries.
     pub trie_rows: usize,
-    /// Total view rows after the last batch (all levels, both paths).
+    /// Total view rows after the last batch (all levels).
     pub final_rows_total: usize,
 }
 
 impl WidePoint {
-    /// `unpruned / pruned` — what skipping irrelevant views buys.
-    pub fn speedup(&self) -> f64 {
-        self.unpruned_per_batch.as_secs_f64() / self.pruned_per_batch.as_secs_f64().max(1e-12)
-    }
-
     /// Fraction of view-refresh decisions that pruned away.
     pub fn skip_rate(&self) -> f64 {
         let total = self.refreshed + self.skipped;
@@ -467,15 +459,12 @@ fn wide_order(serial: &mut i64, ckey: i64, region: i64) -> Tuple {
 /// The wide-catalog scenario: `views` sibling selection views (one per
 /// region) over orders ⋈ customers, replayed under batches that only
 /// ever touch **two** hot regions — so at most two views can move per
-/// commit and the scheduler should skip the rest. The same seeded
-/// batches replay twice: once on the default engine, and once on the
-/// full PR 9 baseline — pruning off
-/// ([`MultiStore::set_refresh_pruning`]) *and* legacy maintenance on
-/// ([`MultiStore::set_legacy_maintenance`]: private per-view atom
-/// states, always-true CIND upkeep) — timing `apply` per batch
-/// (best of `runs` pointwise). The pruned store is verified against
-/// [`eval_stacked`] after every batch when `verify_each` is set, and
-/// both stores are at the end of every run.
+/// commit and the scheduler should skip the rest. `apply` is timed per
+/// batch (best of `runs` pointwise). The store is verified against
+/// [`eval_stacked`] after every batch when `verify_each` is set, and at
+/// the end of every run. The refresh-everything walk this scheduler
+/// replaced is no longer in the tree; its timing is frozen in
+/// `BENCH_catalog.json` (`unpruned_s_per_batch`).
 pub fn wide_catalog_scenario(
     views: usize,
     orders_n: usize,
@@ -507,7 +496,6 @@ pub fn wide_catalog_scenario(
     let hot = [1i64, views as i64 - 2];
 
     let mut best_pruned = vec![Duration::MAX; batches];
-    let mut best_unpruned = vec![Duration::MAX; batches];
     let mut point: Option<WidePoint> = None;
     for _ in 0..runs.max(1) {
         let mut rng = StdRng::seed_from_u64(0xCA7A);
@@ -525,28 +513,18 @@ pub fn wide_catalog_scenario(
                 })
                 .collect()
         };
-        let build_store = |prune: bool| {
-            let mut s = MultiStore::new(
-                vec![
-                    RelationSpec::new("orders", vec![], orders_base.clone()),
-                    RelationSpec::new("customers", vec![], customers_base.clone()),
-                ],
-                vec![],
-                shards,
-            )
-            .expect("both relations exist");
-            s.set_refresh_pruning(prune);
-            // The baseline store is the PR 9 engine end to end: coarse
-            // reads-the-node walk, private per-view atom states, and
-            // witness upkeep for the always-true view-to-source CINDs.
-            s.set_legacy_maintenance(!prune);
-            let ids = s
-                .register_stacked_batch(specs.clone())
-                .expect("flat catalog is acyclic");
-            (s, ids)
-        };
-        let (mut pruned, ids) = build_store(true);
-        let (mut unpruned, _) = build_store(false);
+        let mut store = MultiStore::new(
+            vec![
+                RelationSpec::new("orders", vec![], orders_base.clone()),
+                RelationSpec::new("customers", vec![], customers_base.clone()),
+            ],
+            vec![],
+            shards,
+        )
+        .expect("both relations exist");
+        let ids = store
+            .register_stacked_batch(specs.clone())
+            .expect("flat catalog is acyclic");
 
         // Delete candidates must stay hot, or deletes would leak
         // relevance into cold views; the cold mirror only feeds the
@@ -579,14 +557,9 @@ pub fn wide_catalog_scenario(
             mirror_hot.extend(ord.inserts.iter().cloned());
 
             let t0 = Instant::now();
-            pruned.apply(orders, &ord);
-            let pruned_t = t0.elapsed();
-            let t0 = Instant::now();
-            unpruned.apply(orders, &ord);
-            let unpruned_t = t0.elapsed();
+            store.apply(orders, &ord);
             if timed {
-                best_pruned[bi - 1] = best_pruned[bi - 1].min(pruned_t);
-                best_unpruned[bi - 1] = best_unpruned[bi - 1].min(unpruned_t);
+                best_pruned[bi - 1] = best_pruned[bi - 1].min(t0.elapsed());
             }
 
             if verify_each {
@@ -600,14 +573,14 @@ pub fn wide_catalog_scenario(
                 let full = eval_stacked(&ext, 2, &queries, &db);
                 for (k, fresh) in full.iter().enumerate() {
                     assert_eq!(
-                        &pruned.view_relation(ids[k]),
+                        &store.view_relation(ids[k]),
                         fresh,
-                        "pruned view {k} diverged from eval_stacked mid-replay"
+                        "view {k} diverged from eval_stacked mid-replay"
                     );
                 }
             }
         }
-        // End-state verification is unconditional, for both stores.
+        // End-state verification is unconditional.
         let mut db = Database::empty(&ext);
         for t in mirror_hot.iter().chain(&mirror_cold) {
             db.insert(orders, t.clone());
@@ -618,19 +591,14 @@ pub fn wide_catalog_scenario(
         let full = eval_stacked(&ext, 2, &queries, &db);
         for (k, fresh) in full.iter().enumerate() {
             assert_eq!(
-                &pruned.view_relation(ids[k]),
+                &store.view_relation(ids[k]),
                 fresh,
-                "pruned view {k} end state diverged from eval_stacked"
-            );
-            assert_eq!(
-                &unpruned.view_relation(ids[k]),
-                fresh,
-                "unpruned view {k} end state diverged from eval_stacked"
+                "view {k} end state diverged from eval_stacked"
             );
         }
 
-        let (refreshed, skipped) = pruned.total_refresh_counts();
-        let (trie_entries, trie_refs, trie_rows) = pruned.shared_trie_stats();
+        let (refreshed, skipped) = store.total_refresh_counts();
+        let (trie_entries, trie_refs, trie_rows) = store.shared_trie_stats();
         point = Some(WidePoint {
             views,
             orders: orders_n,
@@ -638,7 +606,6 @@ pub fn wide_catalog_scenario(
             batch,
             batches,
             pruned_per_batch: Duration::ZERO,
-            unpruned_per_batch: Duration::ZERO,
             refreshed,
             skipped,
             trie_entries,
@@ -650,7 +617,6 @@ pub fn wide_catalog_scenario(
 
     let mut p = point.expect("at least one run");
     p.pruned_per_batch = best_pruned.iter().sum::<Duration>() / batches.max(1) as u32;
-    p.unpruned_per_batch = best_unpruned.iter().sum::<Duration>() / batches.max(1) as u32;
     p
 }
 

@@ -83,7 +83,7 @@
 //! a registered 2-atom join view, replayed through the multistore's
 //! [`cfd_clean::MaterializedView`] (telescoped delta-join maintenance +
 //! incremental view-side detection, `O(|Δ⋈|)` per batch) versus full
-//! `SpcQuery` re-evaluation (the hash-join `eval_spc` — the strong
+//! `SpcQuery` re-evaluation (the factorized `eval_spc` — the strong
 //! baseline) + `detect_all` rescan after every batch:
 //!
 //! * `cargo run --release -p cfd-bench --bin view_exp` — prints a table
@@ -131,12 +131,11 @@
 //!   `--verify-each` is the CI smoke mode (cross-checks every level
 //!   against the rebuild after every batch).
 //!
-//! The [`planfix`] module drives the delta-join planner experiment
-//! (ISSUE PR8): maintenance of a skewed 3-atom path view under the
-//! legacy greedy binary join plan versus the width-bounded factorized
-//! engine, swept over hot-key skews (the greedy plan's per-batch cost
-//! climbs the cliff while the factorized plan stays flat — see
-//! `docs/VIEWS.md` for measured numbers):
+//! The [`planfix`] module drives the delta-join planner experiment:
+//! maintenance of a skewed 3-atom path view by the width-bounded
+//! factorized engine, swept over hot-key skews (per-row work stays
+//! flat; the greedy binary plan it replaced climbed a cliff, and its
+//! frozen numbers are in `BENCH_planfix.json` — see `docs/VIEWS.md`):
 //!
 //! * `cargo run --release -p cfd-bench --bin planfix_exp` — prints a
 //!   table and writes `BENCH_planfix.json` (`host_cores` recorded);

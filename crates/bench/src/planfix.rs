@@ -1,42 +1,35 @@
 //! Workload and measurement helpers for the delta-join planner
-//! experiment (ISSUE PR8): the greedy binary plan's blowup cliff on a
-//! skewed 3-atom view versus the width-bounded factorized engine.
+//! experiment: per-row maintenance work of the width-bounded factorized
+//! engine on a skewed 3-atom view, as the hot-key skew grows.
 //!
 //! The `planfix_exp` binary (`cargo run --release -p cfd-bench --bin
-//! planfix_exp`) replays identical batches of hot-key inserts and
-//! deletes through two [`cfd_clean::MultiStore`]s, each with the same
-//! 3-atom path view registered — once under
-//! [`cfd_clean::PlanMode::Greedy`] (the legacy per-driver binary hash
-//! join) and once under [`cfd_clean::PlanMode::Factorized`] (the
-//! width-bounded plan).
+//! planfix_exp`) replays batches of hot-key inserts and deletes through
+//! a [`cfd_clean::MultiStore`] with a 3-atom path view registered.
 //!
 //! The view is `r0(a,b) ⋈_b r1(b,c) ⋈_c r2(c,d)` with a deliberately
 //! skewed key: `r1` holds `skew` rows under the single hot key `b = 0`
 //! (each with a distinct `c`), while `r2` matches only the 8 smallest
 //! `c` values. Every batch inserts and deletes `r0` rows at the hot
-//! key, so:
+//! key. The factorized plan intersects the candidate sets for the join
+//! variable `c` (iterating the *smaller* side, `r2`'s 8 values) and
+//! enumerates only surviving bindings, so per-batch work stays flat as
+//! the skew grows. A greedy binary plan walks all `skew` hot `r1` rows
+//! under *every* driver row before `r2` filters them — per-batch work
+//! linear in the skew (the cliff). That plan is no longer in the tree;
+//! its measurements are frozen in `BENCH_planfix.json`.
 //!
-//! * the **greedy** plan walks all `skew` hot `r1` rows under *every*
-//!   driver row before `r2` filters them — per-batch work grows
-//!   linearly with the skew even though the view delta does not (the
-//!   cliff);
-//! * the **factorized** plan intersects the candidate sets for the
-//!   join variable `c` (iterating the *smaller* side, `r2`'s 8
-//!   values) and enumerates only surviving bindings — per-batch work
-//!   stays flat as the skew grows.
-//!
-//! Both engines' probe-work counters ([`MaterializedView::probe_work`]
-//! — trie/bucket rows touched plus derivations emitted) are reported
-//! per driver row next to the wall times, making the asymptotics
-//! visible independent of the clock. With `verify_each` (the CI smoke
-//! mode) **every** batch is verified against
+//! The engine's probe-work counter ([`MaterializedView::probe_work`] —
+//! trie rows touched plus derivations emitted) is reported per driver
+//! row next to the wall time, making the asymptotics visible
+//! independent of the clock. With `verify_each` (the CI smoke mode)
+//! **every** batch is verified against
 //! [`cfd_relalg::eval::eval_spc_nested`] on a same-epoch
 //! [`cfd_clean::MultiSnapshot`], and an optional per-driver-row work
-//! budget is asserted on the factorized side.
+//! budget is asserted.
 //!
 //! [`MaterializedView::probe_work`]: cfd_clean::MaterializedView::probe_work
 
-use cfd_clean::{MultiStore, PlanMode, RelationSpec, UpdateBatch, ViewSpec};
+use cfd_clean::{MultiStore, RelationSpec, UpdateBatch, ViewSpec};
 use cfd_relalg::domain::DomainKind;
 use cfd_relalg::eval::eval_spc_nested;
 use cfd_relalg::instance::{Database, Relation, Tuple};
@@ -52,7 +45,7 @@ const R2_KEYS: i64 = 8;
 /// Cold `r1` rows (distinct keys outside the hot `b = 0`).
 const R1_COLD: i64 = 64;
 
-/// One measured greedy-vs-factorized comparison at a fixed skew.
+/// One measured replay at a fixed skew.
 #[derive(Clone, Debug)]
 pub struct PlanfixPoint {
     /// Hot rows in `r1` under the single hot join key (`skew`).
@@ -63,25 +56,14 @@ pub struct PlanfixPoint {
     pub batch: usize,
     /// Number of batches replayed.
     pub batches: usize,
-    /// Mean per-batch wall time under the greedy binary plan.
-    pub greedy_per_batch: Duration,
-    /// Mean per-batch wall time under the factorized plan.
+    /// Mean per-batch wall time.
     pub factorized_per_batch: Duration,
-    /// Mean probe work per driver row, greedy plan.
-    pub greedy_work_per_row: f64,
-    /// Mean probe work per driver row, factorized plan.
+    /// Mean probe work per driver row.
     pub factorized_work_per_row: f64,
-    /// View rows after the last batch (identical on both paths).
+    /// View rows after the last batch.
     pub final_view_rows: usize,
     /// Batches verified against the nested-loop reference.
     pub verified_batches: usize,
-}
-
-impl PlanfixPoint {
-    /// `greedy / factorized` wall time — the cliff's height.
-    pub fn speedup(&self) -> f64 {
-        self.greedy_per_batch.as_secs_f64() / self.factorized_per_batch.as_secs_f64().max(1e-12)
-    }
 }
 
 /// r0(a, b), r1(b, c), r2(c, d) — all Int.
@@ -147,7 +129,7 @@ fn base_specs(base: usize, skew: usize) -> Vec<RelationSpec> {
     ]
 }
 
-fn verify(store: &MultiStore, v: usize, catalog: &Catalog, query: &SpcQuery, label: &str) -> usize {
+fn verify(store: &MultiStore, v: usize, catalog: &Catalog, query: &SpcQuery) -> usize {
     let snap = store.snapshot();
     let mut db = Database::empty(catalog);
     for i in 0..3 {
@@ -159,20 +141,19 @@ fn verify(store: &MultiStore, v: usize, catalog: &Catalog, query: &SpcQuery, lab
     assert_eq!(
         snap.view(v).relation,
         expected,
-        "{label} view diverged from the same-epoch nested-loop reference"
+        "view diverged from the same-epoch nested-loop reference"
     );
     expected.len()
 }
 
 /// Replay `batches` batches of `batch` hot-key driver updates (3/4
-/// inserts, 1/4 deletes of earlier hot inserts) through a greedy-plan
-/// store and a factorized-plan store seeded identically at the given
-/// `skew`, timing each apply (best of `runs` identically-seeded
-/// replays, per-batch pointwise minima) and differencing the engines'
-/// probe-work counters. End states are always verified against
-/// [`eval_spc_nested`] on a same-epoch snapshot; `verify_each` checks
-/// every batch, and `budget_per_row` (CI) bounds the factorized
-/// engine's per-driver-row work.
+/// inserts, 1/4 deletes of earlier hot inserts) through a store seeded
+/// at the given `skew`, timing each apply (best of `runs`
+/// identically-seeded replays, per-batch pointwise minima) and
+/// differencing the view's probe-work counter. End states are always
+/// verified against [`eval_spc_nested`] on a same-epoch snapshot;
+/// `verify_each` checks every batch, and `budget_per_row` (CI) bounds
+/// the per-driver-row work.
 pub fn compare_planfix(
     base: usize,
     batch: usize,
@@ -187,28 +168,21 @@ pub fn compare_planfix(
     let deletes_per_batch = batch / 4;
     let inserts_per_batch = batch - deletes_per_batch;
 
-    let mut best_greedy = vec![Duration::MAX; batches];
-    let mut best_fact = vec![Duration::MAX; batches];
-    let mut greedy_work = 0u64;
-    let mut fact_work = 0u64;
+    let mut best = vec![Duration::MAX; batches];
+    let mut work = 0u64;
     let mut rows_touched = 0u64;
     let mut final_view_rows = 0usize;
     let mut verified_batches = 0usize;
     for run in 0..runs.max(1) {
         let mut rng = StdRng::seed_from_u64(0xF1A + skew as u64);
-        let specs = base_specs(base, skew);
-        let mut store_g = MultiStore::new(specs.clone(), vec![], 1).expect("valid specs");
-        let mut store_f = MultiStore::new(specs, vec![], 1).expect("valid specs");
-        let vg = store_g
-            .register_view(ViewSpec::new("V", query.clone()).with_plan(PlanMode::Greedy))
-            .expect("valid view");
-        let vf = store_f
-            .register_view(ViewSpec::new("V", query.clone()).with_plan(PlanMode::Factorized))
+        let mut store = MultiStore::new(base_specs(base, skew), vec![], 1).expect("valid specs");
+        let v = store
+            .register_view(ViewSpec::new("V", query.clone()))
             .expect("valid view");
         let count_work = run == 0;
         let mut hot_resident: Vec<Tuple> = Vec::new();
         let mut serial = base as i64;
-        for bi in 0..batches {
+        for (bi, best_bi) in best.iter_mut().enumerate() {
             let mut upd = UpdateBatch::default();
             for _ in 0..inserts_per_batch {
                 let t = vec![Value::int(serial), Value::int(0)];
@@ -225,39 +199,29 @@ pub fn compare_planfix(
             }
             let delta_rows = (upd.inserts.len() + upd.deletes.len()) as u64;
 
-            let g0 = store_g.view(vg).probe_work();
+            let w0 = store.view(v).probe_work();
             let t0 = Instant::now();
-            store_g.apply(RelId(0), &upd);
-            best_greedy[bi] = best_greedy[bi].min(t0.elapsed());
-            let f0 = store_f.view(vf).probe_work();
-            let t0 = Instant::now();
-            store_f.apply(RelId(0), &upd);
-            best_fact[bi] = best_fact[bi].min(t0.elapsed());
+            store.apply(RelId(0), &upd);
+            *best_bi = (*best_bi).min(t0.elapsed());
             if count_work {
-                greedy_work += store_g.view(vg).probe_work() - g0;
-                let fw = store_f.view(vf).probe_work() - f0;
-                fact_work += fw;
+                let dw = store.view(v).probe_work() - w0;
+                work += dw;
                 rows_touched += delta_rows;
                 if let Some(budget) = budget_per_row {
                     assert!(
-                        fw <= budget * delta_rows,
-                        "factorized work {fw} exceeds the {budget}/row budget \
+                        dw <= budget * delta_rows,
+                        "probe work {dw} exceeds the {budget}/row budget \
                          for a {delta_rows}-row delta (skew {skew}, batch {bi})"
                     );
                 }
             }
             if verify_each && run == 0 {
-                let n = verify(&store_g, vg, &catalog, &query, "greedy");
-                let nf = verify(&store_f, vf, &catalog, &query, "factorized");
-                assert_eq!(n, nf);
+                verify(&store, v, &catalog, &query);
                 verified_batches += 1;
             }
         }
         // End-state verification is unconditional.
-        let n = verify(&store_g, vg, &catalog, &query, "greedy");
-        final_view_rows = verify(&store_f, vf, &catalog, &query, "factorized");
-        assert_eq!(n, final_view_rows);
-        assert_eq!(store_g.view_relation(vg), store_f.view_relation(vf));
+        final_view_rows = verify(&store, v, &catalog, &query);
     }
 
     let rows = rows_touched.max(1) as f64;
@@ -266,10 +230,8 @@ pub fn compare_planfix(
         base,
         batch,
         batches,
-        greedy_per_batch: best_greedy.iter().sum::<Duration>() / batches.max(1) as u32,
-        factorized_per_batch: best_fact.iter().sum::<Duration>() / batches.max(1) as u32,
-        greedy_work_per_row: greedy_work as f64 / rows,
-        factorized_work_per_row: fact_work as f64 / rows,
+        factorized_per_batch: best.iter().sum::<Duration>() / batches.max(1) as u32,
+        factorized_work_per_row: work as f64 / rows,
         final_view_rows,
         verified_batches,
     }
@@ -285,14 +247,7 @@ mod tests {
         let b = compare_planfix(60, 40, 3, 1, 1024, true, Some(400));
         assert!(a.final_view_rows > 0, "hot batches populate the view");
         assert_eq!(a.verified_batches, 3);
-        // The greedy plan's per-row work scales with the skew …
-        assert!(
-            b.greedy_work_per_row > a.greedy_work_per_row * 4.0,
-            "greedy {} → {}",
-            a.greedy_work_per_row,
-            b.greedy_work_per_row
-        );
-        // … while the factorized plan's stays flat.
+        // An 8× skew leaves the factorized plan's per-row work flat.
         assert!(
             b.factorized_work_per_row < a.factorized_work_per_row * 2.0,
             "factorized {} → {}",

@@ -10,8 +10,8 @@
 //!   whose [`cfd_clean::MaterializedView`] maintains the contents with
 //!   the telescoped delta-join rule and feeds the view's row delta into
 //!   its own `DeltaDetector` — `O(|Δ⋈|)` per batch;
-//! * by re-evaluating the full `SpcQuery` ([`eval_spc`], itself the new
-//!   hash-join fast path — the *strong* baseline) over the mutated
+//! * by re-evaluating the full `SpcQuery` ([`eval_spc`], itself the
+//!   factorized fast path — the *strong* baseline) over the mutated
 //!   database and re-running [`detect_all`] on the result after every
 //!   batch — what a batch engine pays per refresh.
 //!

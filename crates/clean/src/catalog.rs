@@ -36,7 +36,6 @@
 //!   pinned snapshots stay valid) unless every check and the full
 //!   rebuild succeed.
 
-use crate::matview::PlanMode;
 use cfd_cind::{Cind, CindError};
 use cfd_model::cfd::Cfd;
 use cfd_relalg::query::SpcQuery;
@@ -72,29 +71,20 @@ pub struct StackedViewSpec {
     /// Extra CINDs with this view on the LHS; the RHS may be any node
     /// (source or view).
     pub cinds: Vec<Cind>,
-    /// The maintenance plan for non-recursive views.
-    pub plan: PlanMode,
     /// Whether the view tolerates being part of a dependency cycle.
     pub cycle: CyclePolicy,
 }
 
 impl StackedViewSpec {
-    /// A view with no extra constraints, default plan, cycles rejected.
+    /// A view with no extra constraints, cycles rejected.
     pub fn new(name: impl Into<String>, branches: Vec<SpcQuery>) -> StackedViewSpec {
         StackedViewSpec {
             name: name.into(),
             branches,
             sigma: Vec::new(),
             cinds: Vec::new(),
-            plan: PlanMode::default(),
             cycle: CyclePolicy::default(),
         }
-    }
-
-    /// Select the maintenance plan.
-    pub fn with_plan(mut self, plan: PlanMode) -> StackedViewSpec {
-        self.plan = plan;
-        self
     }
 
     /// Select the cycle policy.

@@ -33,7 +33,7 @@
 //! * [`matview`] — live materialized SPC views on the multistore: a
 //!   [`MaterializedView`] is compiled once (predicates pushed down to
 //!   interned codes through the transitive equality closure, one
-//!   width-bounded factorized plan per atom — [`PlanMode`]) and
+//!   width-bounded factorized plan per atom) and
 //!   maintained from each commit's applied row delta in `O(|Δ⋈|)` —
 //!   derivation counts handle deletes — while its own [`DeltaDetector`]
 //!   and
@@ -106,7 +106,7 @@ pub use durable::{
     FrameError, FsyncPolicy, LogIo, MemIo, RecoveryError, RecoveryReport,
 };
 pub use incremental::InsertChecker;
-pub use matview::{MaterializedView, PlanMode, ViewDelta, ViewSpec};
+pub use matview::{MaterializedView, ViewDelta, ViewSpec};
 pub use multistore::{
     MultiCommit, MultiDiffFilter, MultiSnapshot, MultiStore, RelationSpec, ViewSnapshot,
 };

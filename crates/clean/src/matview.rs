@@ -19,15 +19,12 @@
 //! conjuncts — including the ones only reachable through the transitive
 //! equality closure — are pushed down to interned-code comparisons that
 //! gate rows *into* the atom states, and the join variables drive a
-//! width-bounded [`cfd_relalg::query::FactorizedEngine`]
-//! ([`PlanMode::Factorized`], the default): each delta row
-//! semijoin-reduces the per-atom candidate sets and enumerates only
+//! width-bounded [`cfd_relalg::query::FactorizedEngine`]: each delta
+//! row semijoin-reduces the per-atom candidate sets and enumerates only
 //! surviving bindings, so per-row work is bounded by per-variable
 //! intersections plus derivations emitted — never by intermediate join
-//! size. [`PlanMode::Greedy`] keeps the legacy per-atom greedy
-//! [`cfd_relalg::query::JoinPlan`] over code-level hash indexes as a
-//! property-tested reference. A delta `Δ = (D, I)` on node `N` updates
-//! each branch by the standard n-ary telescoped rule
+//! size. A delta `Δ = (D, I)` on node `N` updates each branch by the
+//! standard n-ary telescoped rule
 //!
 //! ```text
 //! Δ(R1 ⋈ … ⋈ Rn) = Σj  R1′ ⋈ … ⋈ R(j-1)′ ⋈ Δj ⋈ R(j+1) ⋈ … ⋈ Rn
@@ -106,28 +103,12 @@ use cfd_model::cfd::Cfd;
 use cfd_relalg::instance::{Relation, Tuple};
 use cfd_relalg::pool::Code;
 use cfd_relalg::query::{
-    AtomKey, ColRef, CompiledSelection, FactorizedEngine, JoinPlan, OutCode, SpcQuery, TrieStore,
+    AtomKey, ColRef, CompiledSelection, FactorizedEngine, OutCode, SpcQuery, TrieStore,
 };
 use cfd_relalg::schema::RelId;
 use cfd_relalg::versioned::SharedPool;
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::cell::Cell;
 use std::collections::BTreeSet;
-
-/// Which delta-join plan maintains the view.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Width-bounded factorized variable elimination
-    /// ([`cfd_relalg::query::factorized`]): per-delta-row work is
-    /// bounded by per-variable intersections plus derivations emitted.
-    /// The default.
-    #[default]
-    Factorized,
-    /// The legacy greedy binary [`JoinPlan`]: kept as a property-tested
-    /// reference and to let `planfix_exp` demonstrate the blowup cliff.
-    /// On skewed keys its per-row cost tracks intermediate join size.
-    Greedy,
-}
 
 /// What to materialize: a single-branch SPC view over the store's
 /// *source* relations (`RelId(i)` is the `i`-th
@@ -138,7 +119,7 @@ pub enum PlanMode {
 /// [`view_to_source_cinds`] set holds by construction and is not
 /// maintained).
 ///
-/// This is the legacy flat-SPC registration type; union views and
+/// This is the single-branch registration type; union views and
 /// views over other views use [`crate::catalog::StackedViewSpec`] via
 /// [`crate::multistore::MultiStore::register_stacked`].
 #[derive(Clone, Debug)]
@@ -152,8 +133,6 @@ pub struct ViewSpec {
     /// Extra CINDs with the view on the LHS; RHS must be a store
     /// relation.
     pub cinds: Vec<Cind>,
-    /// The maintenance plan (factorized by default).
-    pub plan: PlanMode,
 }
 
 impl ViewSpec {
@@ -164,14 +143,7 @@ impl ViewSpec {
             query,
             sigma: Vec::new(),
             cinds: Vec::new(),
-            plan: PlanMode::default(),
         }
-    }
-
-    /// Select the maintenance plan.
-    pub fn with_plan(mut self, plan: PlanMode) -> ViewSpec {
-        self.plan = plan;
-        self
     }
 }
 
@@ -220,107 +192,13 @@ pub(crate) struct ViewBuild {
     pub(crate) branches: Vec<SpcQuery>,
     pub(crate) sigma: Vec<Cfd>,
     pub(crate) cinds: Vec<Cind>,
-    pub(crate) plan: PlanMode,
     /// True when the view sits in a monotone dependency cycle: skip
     /// join state, pin counts to 1, maintain by fixpoint + refit.
     pub(crate) recursive: bool,
-    /// Reproduce the PR 9 maintenance profile: private per-position
-    /// atom states (no shared-trie entries) and always-true
-    /// view-to-source CIND witness upkeep. Exists so benches can
-    /// measure the refresh-everything walk this architecture replaced;
-    /// never the serving default.
-    pub(crate) legacy: bool,
 }
 
-/// Where one output column's code comes from.
-#[derive(Clone, Copy, Debug)]
-enum OutSrc {
-    /// Column `attr` of the atom at this position.
-    Prod(usize, usize),
-    /// An interned constant.
-    Const(Code),
-}
-
-/// One hash index of an atom: probe-key columns and the bucket map.
-#[derive(Debug, Default)]
-struct AtomIndex {
-    cols: Vec<usize>,
-    map: FxHashMap<Box<[Code]>, Vec<u32>>,
-}
-
-/// One atom position's live rows (the node's resident rows passing
-/// the position's pushed-down local predicates) plus its hash indexes.
-#[derive(Debug, Default)]
-struct AtomState {
-    ids: FxHashMap<Box<[Code]>, u32>,
-    rows: Vec<Option<Box<[Code]>>>,
-    free: Vec<u32>,
-    indexes: Vec<AtomIndex>,
-}
-
-impl AtomState {
-    fn live(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn insert(&mut self, codes: &[Code]) -> bool {
-        if self.ids.contains_key(codes) {
-            return false;
-        }
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.rows[id as usize] = Some(codes.into());
-                id
-            }
-            None => {
-                self.rows.push(Some(codes.into()));
-                (self.rows.len() - 1) as u32
-            }
-        };
-        self.ids.insert(codes.into(), id);
-        for ix in &mut self.indexes {
-            let key: Box<[Code]> = ix.cols.iter().map(|&c| codes[c]).collect();
-            ix.map.entry(key).or_default().push(id);
-        }
-        true
-    }
-
-    fn remove(&mut self, codes: &[Code]) -> bool {
-        let Some(id) = self.ids.remove(codes) else {
-            return false;
-        };
-        for ix in &mut self.indexes {
-            let key: Box<[Code]> = ix.cols.iter().map(|&c| codes[c]).collect();
-            let bucket = ix.map.get_mut(&key).expect("indexed row has a bucket");
-            let at = bucket
-                .iter()
-                .position(|&r| r == id)
-                .expect("indexed row is in its bucket");
-            bucket.swap_remove(at);
-            if bucket.is_empty() {
-                ix.map.remove(&key);
-            }
-        }
-        self.rows[id as usize] = None;
-        self.free.push(id);
-        true
-    }
-}
-
-/// One plan step resolved to its atom's index slot.
-#[derive(Clone, Debug)]
-struct CompiledStep {
-    atom: usize,
-    index: usize,
-    /// `(bound atom, attr)` value sources for the probe key.
-    key_src: Vec<(usize, usize)>,
-    /// Residual equality checks `((atom, attr), (atom, attr))`, both
-    /// sides bound once this step binds its atom.
-    checks: Vec<((usize, usize), (usize, usize))>,
-}
-
-/// One compiled SPC union branch: pushed-down predicates, the delta
-/// plan, and (for non-recursive views) the live per-atom join state.
+/// One compiled SPC union branch: pushed-down predicates, output
+/// columns, and (for non-recursive views) the factorized join state.
 #[derive(Debug)]
 struct BranchState {
     query: SpcQuery,
@@ -334,40 +212,30 @@ struct BranchState {
     /// with the local conjuncts these are equivalent to the branch's
     /// full selection `F` (used by [`BranchState::eval_into`]).
     cross_eqs: Vec<((usize, usize), (usize, usize))>,
-    /// Per atom position: the greedy delta-join plan driven by that
-    /// position ([`PlanMode::Greedy`] only).
-    plans: Vec<Vec<CompiledStep>>,
-    out_cols: Vec<OutSrc>,
-    /// Per atom position: live rows + hash indexes
-    /// ([`PlanMode::Greedy`] only; the engine owns the rows otherwise).
-    states: Vec<AtomState>,
-    /// Factorized join state ([`PlanMode::Factorized`]).
+    /// Where each output column's code comes from.
+    out_cols: Vec<OutCode>,
+    /// Factorized join state; `None` for recursive views, which are
+    /// refreshed by fixpoint re-evaluation and never driven by deltas.
     engine: Option<FactorizedEngine>,
-    engine_out: Vec<OutCode>,
     /// Per atom position: the shared [`TrieStore`] entry backing it
-    /// (factorized non-recursive branches; the branch holds one
-    /// reference per position, released by
+    /// (the branch holds one reference per position, released by
     /// [`MaterializedView::release_shared`]). `None` for positions
-    /// whose state the branch owns (greedy, recursive).
+    /// whose state the engine owns (self-join repeats) and for every
+    /// position of a recursive branch.
     shared: Vec<Option<usize>>,
-    /// Enumeration work spent by the greedy probe (bucket rows
-    /// visited); the factorized counter lives in the engine.
-    greedy_work: Cell<u64>,
 }
 
 impl BranchState {
     /// Compile one branch. Recursive views skip the join machinery
     /// entirely (they are refreshed by fixpoint re-evaluation, never
-    /// driven by deltas). Factorized branches acquire one shared
+    /// driven by deltas). Other branches acquire one shared
     /// [`TrieStore`] entry per atom position, keyed by `(node, local
     /// predicate set)`; the second return value flags the positions
-    /// whose entry was freshly created and needs seeding (positions
+    /// whose state was freshly created and needs seeding (positions
     /// joining a pre-existing entry inherit its live rows).
     fn compile(
         query: SpcQuery,
-        plan_mode: PlanMode,
         recursive: bool,
-        share: bool,
         store: &mut TrieStore,
         pool: &mut SharedPool,
     ) -> (BranchState, Vec<bool>) {
@@ -378,12 +246,12 @@ impl BranchState {
             .iter()
             .map(|cs| cs.iter().map(|(a, v)| (*a, pool.intern(v))).collect())
             .collect();
-        let out_cols: Vec<OutSrc> = query
+        let out_cols: Vec<OutCode> = query
             .output
             .iter()
             .map(|o| match o.src {
-                ColRef::Prod(c) => OutSrc::Prod(c.atom, c.attr),
-                ColRef::Const(k) => OutSrc::Const(pool.intern(&query.constants[k].value)),
+                ColRef::Prod(c) => OutCode::Col(c.atom, c.attr),
+                ColRef::Const(k) => OutCode::Const(pool.intern(&query.constants[k].value)),
             })
             .collect();
         let cross_eqs: Vec<((usize, usize), (usize, usize))> = sel
@@ -391,88 +259,35 @@ impl BranchState {
             .iter()
             .map(|(a, b)| ((a.atom, a.attr), (b.atom, b.attr)))
             .collect();
-        let mut states: Vec<AtomState> = (0..n).map(|_| AtomState::default()).collect();
-        let mut plans: Vec<Vec<CompiledStep>> = Vec::new();
         let mut engine = None;
-        let mut engine_out = Vec::new();
         let mut shared: Vec<Option<usize>> = vec![None; n];
         let mut needs_seed = vec![true; n];
-        match plan_mode {
-            _ if recursive => {}
-            PlanMode::Factorized => {
-                // A branch may hold the same (node, predicate set) at
-                // two positions — a pure self-join. The telescoped
-                // sweep needs positions *after* the driver at their old
-                // state while earlier ones are new, and one physical
-                // trie cannot serve both states at once, so only the
-                // first position of each key within the branch is
-                // store-backed; repeats keep an owned slot. (Across
-                // branches and views the fold un-/re-applies around
-                // each drive, so sharing stays exact there.) With
-                // `share` off every position stays owned — the legacy
-                // private-state layout.
-                if share {
-                    let mut keys: Vec<AtomKey> = Vec::with_capacity(n);
-                    for j in 0..n {
-                        let key =
-                            AtomKey::new(query.atoms[j].0, &local_consts[j], &sel.local_eqs[j]);
-                        if !keys.contains(&key) {
-                            let (id, created) = store.acquire(key.clone());
-                            shared[j] = Some(id);
-                            needs_seed[j] = created;
-                        }
-                        keys.push(key);
-                    }
+        if !recursive {
+            // A branch may hold the same (node, predicate set) at two
+            // positions — a pure self-join. The telescoped sweep needs
+            // positions *after* the driver at their old state while
+            // earlier ones are new, and one physical trie cannot serve
+            // both states at once, so only the first position of each
+            // key within the branch is store-backed; repeats keep an
+            // owned slot. (Across branches and views the fold
+            // un-/re-applies around each drive, so sharing stays exact
+            // there.)
+            let mut keys: Vec<AtomKey> = Vec::with_capacity(n);
+            for j in 0..n {
+                let key = AtomKey::new(query.atoms[j].0, &local_consts[j], &sel.local_eqs[j]);
+                if !keys.contains(&key) {
+                    let (id, created) = store.acquire(key.clone());
+                    shared[j] = Some(id);
+                    needs_seed[j] = created;
                 }
-                engine = Some(FactorizedEngine::new_shared(
-                    n,
-                    &sel.join_vars,
-                    &shared,
-                    store,
-                ));
-                engine_out = out_cols
-                    .iter()
-                    .map(|o| match *o {
-                        OutSrc::Prod(a, c) => OutCode::Col(a, c),
-                        OutSrc::Const(code) => OutCode::Const(code),
-                    })
-                    .collect();
+                keys.push(key);
             }
-            PlanMode::Greedy => {
-                plans.reserve(n);
-                for d in 0..n {
-                    let plan = JoinPlan::new(n, &sel.cross_eqs, d);
-                    let steps = plan
-                        .steps
-                        .into_iter()
-                        .map(|s| {
-                            let state = &mut states[s.atom];
-                            let index = state
-                                .indexes
-                                .iter()
-                                .position(|ix| ix.cols == s.key_cols)
-                                .unwrap_or_else(|| {
-                                    state.indexes.push(AtomIndex {
-                                        cols: s.key_cols.clone(),
-                                        map: FxHashMap::default(),
-                                    });
-                                    state.indexes.len() - 1
-                                });
-                            CompiledStep {
-                                atom: s.atom,
-                                index,
-                                key_src: s.key_src.iter().map(|c| (c.atom, c.attr)).collect(),
-                                checks: s
-                                    .checks
-                                    .iter()
-                                    .map(|(a, b)| ((a.atom, a.attr), (b.atom, b.attr)))
-                                    .collect(),
-                            }
-                        })
-                        .collect();
-                    plans.push(steps);
-                }
-            }
+            engine = Some(FactorizedEngine::new_shared(
+                n,
+                &sel.join_vars,
+                &shared,
+                store,
+            ));
         }
         let br = BranchState {
             atom_rels: query.atoms.iter().map(|r| r.0).collect(),
@@ -480,37 +295,30 @@ impl BranchState {
             local_consts,
             local_eqs: sel.local_eqs,
             cross_eqs,
-            plans,
             out_cols,
-            states,
             engine,
-            engine_out,
             shared,
-            greedy_work: Cell::new(0),
         };
         (br, needs_seed)
+    }
+
+    /// The factorized join state of a non-recursive branch.
+    fn engine(&self) -> &FactorizedEngine {
+        self.engine
+            .as_ref()
+            .expect("recursive views are never driven by deltas")
+    }
+
+    /// The factorized join state of a non-recursive branch, mutably.
+    fn engine_mut(&mut self) -> &mut FactorizedEngine {
+        self.engine
+            .as_mut()
+            .expect("recursive views are never driven by deltas")
     }
 
     fn row_passes_local(&self, j: usize, codes: &[Code]) -> bool {
         self.local_consts[j].iter().all(|&(a, k)| codes[a] == k)
             && self.local_eqs[j].iter().all(|&(a, b)| codes[a] == codes[b])
-    }
-
-    /// Insert a local-predicate-passing row into position `j`'s state
-    /// (whichever plan owns the rows).
-    fn insert_row(&mut self, j: usize, codes: &[Code], store: &mut TrieStore) -> bool {
-        match &mut self.engine {
-            Some(eng) => eng.insert_in(store, j, codes),
-            None => self.states[j].insert(codes),
-        }
-    }
-
-    /// Remove a row from position `j`'s state.
-    fn remove_row(&mut self, j: usize, codes: &[Code], store: &mut TrieStore) -> bool {
-        match &mut self.engine {
-            Some(eng) => eng.remove_in(store, j, codes),
-            None => self.states[j].remove(codes),
-        }
     }
 
     /// Fold one commit's applied row deltas into this branch by the
@@ -601,15 +409,16 @@ impl BranchState {
                 }
                 None => {
                     // Owned state: move this position old → new.
+                    let eng = self.engine_mut();
                     for codes in d_j {
                         assert!(
-                            self.remove_row(*j, codes, store),
+                            eng.remove_in(store, *j, codes),
                             "applied delete was resident in its atom state"
                         );
                     }
                     for codes in i_j {
                         assert!(
-                            self.insert_row(*j, codes, store),
+                            eng.insert_in(store, *j, codes),
                             "applied insert was new to its atom state"
                         );
                     }
@@ -618,8 +427,9 @@ impl BranchState {
         }
     }
 
-    /// Drive `rows` of position `j` through its plan, accumulating each
-    /// complete combination's projected row into `delta` with `sign`.
+    /// Drive `rows` of position `j` through the factorized engine,
+    /// accumulating each complete combination's projected row into
+    /// `delta` with `sign`.
     fn drive_position(
         &self,
         j: usize,
@@ -628,105 +438,8 @@ impl BranchState {
         store: &TrieStore,
         delta: &mut FxHashMap<Box<[Code]>, i64>,
     ) {
-        if let Some(eng) = &self.engine {
-            eng.drive_in(store, j, rows, sign, &self.engine_out, delta);
-            return;
-        }
-        let steps = &self.plans[j];
-        // Any empty non-driver atom empties every combination.
-        if steps.iter().any(|s| self.states[s.atom].live() == 0) {
-            return;
-        }
-        // A disconnected step (no probe key) would look up the same
-        // whole-atom bucket for every driver row — resolve those scans
-        // once per batch instead.
-        let empty_key: &[Code] = &[];
-        let scans: Vec<Option<&Vec<u32>>> = steps
-            .iter()
-            .map(|s| {
-                if s.key_src.is_empty() {
-                    Some(
-                        self.states[s.atom].indexes[s.index]
-                            .map
-                            .get(empty_key)
-                            .expect("non-empty atom has its scan bucket"),
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let n = self.atom_rels.len();
-        let mut binding: Vec<Option<&[Code]>> = vec![None; n];
-        for row in rows {
-            binding[j] = Some(row);
-            self.probe(steps, &scans, 0, &mut binding, sign, delta);
-            binding[j] = None;
-        }
-    }
-
-    fn probe<'a>(
-        &'a self,
-        steps: &[CompiledStep],
-        scans: &[Option<&'a Vec<u32>>],
-        depth: usize,
-        binding: &mut Vec<Option<&'a [Code]>>,
-        sign: i64,
-        delta: &mut FxHashMap<Box<[Code]>, i64>,
-    ) {
-        let Some(step) = steps.get(depth) else {
-            let row: Box<[Code]> = self
-                .out_cols
-                .iter()
-                .map(|o| match *o {
-                    OutSrc::Prod(a, c) => binding[a].expect("bound")[c],
-                    OutSrc::Const(code) => code,
-                })
-                .collect();
-            *delta.entry(row).or_insert(0) += sign;
-            return;
-        };
-        let state = &self.states[step.atom];
-        let bucket = match scans[depth] {
-            Some(b) => b,
-            None => {
-                let key: Box<[Code]> = step
-                    .key_src
-                    .iter()
-                    .map(|&(a, c)| binding[a].expect("bound")[c])
-                    .collect();
-                match state.indexes[step.index].map.get(&key) {
-                    Some(b) => b,
-                    None => return,
-                }
-            }
-        };
-        self.greedy_work
-            .set(self.greedy_work.get() + bucket.len() as u64);
-        // The bucket may shrink-by-probe never: state is immutable for
-        // the whole position; plain iteration is safe.
-        for &id in bucket {
-            let row: &[Code] = state.rows[id as usize].as_deref().expect("live row");
-            let ok = step.checks.iter().all(|&((a1, c1), (a2, c2))| {
-                let v1 = if a1 == step.atom {
-                    row[c1]
-                } else {
-                    binding[a1].expect("bound")[c1]
-                };
-                let v2 = if a2 == step.atom {
-                    row[c2]
-                } else {
-                    binding[a2].expect("bound")[c2]
-                };
-                v1 == v2
-            });
-            if !ok {
-                continue;
-            }
-            binding[step.atom] = Some(row);
-            self.probe(steps, scans, depth + 1, binding, sign, delta);
-            binding[step.atom] = None;
-        }
+        self.engine()
+            .drive_in(store, j, rows, sign, &self.out_cols, delta);
     }
 
     /// Evaluate this branch from scratch against the rows `rows_of`
@@ -742,8 +455,8 @@ impl BranchState {
                 .out_cols
                 .iter()
                 .map(|o| match o {
-                    OutSrc::Const(c) => *c,
-                    OutSrc::Prod(..) => unreachable!("no atoms to project"),
+                    OutCode::Const(c) => *c,
+                    OutCode::Col(..) => unreachable!("no atoms to project"),
                 })
                 .collect();
             out.insert(row);
@@ -773,8 +486,8 @@ impl BranchState {
                     .out_cols
                     .iter()
                     .map(|o| match *o {
-                        OutSrc::Prod(a, c) => per_pos[a][idx[a]][c],
-                        OutSrc::Const(code) => code,
+                        OutCode::Col(a, c) => per_pos[a][idx[a]][c],
+                        OutCode::Const(code) => code,
                     })
                     .collect();
                 out.insert(row);
@@ -842,9 +555,7 @@ impl MaterializedView {
             branches,
             sigma,
             cinds,
-            plan,
             recursive,
-            legacy,
         } = build;
         for q in &branches {
             for rel in &q.atoms {
@@ -864,8 +575,7 @@ impl MaterializedView {
         // violation sets are empty at every commit and tracking their
         // witness counts would be per-commit dead work on every view.
         // Extras can genuinely fire (an upstream delete can orphan view
-        // rows), so they alone feed the engine — except under the
-        // legacy profile, which pays the historical upkeep on purpose.
+        // rows), so they alone feed the engine.
         let auto: Vec<Cind> = match branches.first() {
             Some(first) => {
                 let mut set = view_to_source_cinds(view_rel, first);
@@ -877,7 +587,7 @@ impl MaterializedView {
             }
             None => Vec::new(),
         };
-        let mut all_cinds: Vec<Cind> = if legacy { auto.clone() } else { Vec::new() };
+        let mut all_cinds: Vec<Cind> = Vec::new();
         for c in cinds {
             if c.lhs_rel() != view_rel {
                 return Err(CindError::UnknownRelation {
@@ -893,7 +603,7 @@ impl MaterializedView {
             }
             // An extra that restates an always-true inclusion is
             // equally dead and equally skippable.
-            if !all_cinds.contains(&c) && (legacy || !auto.contains(&c)) {
+            if !all_cinds.contains(&c) && !auto.contains(&c) {
                 all_cinds.push(c);
             }
         }
@@ -905,8 +615,7 @@ impl MaterializedView {
         let branch_states: Vec<BranchState> = branches
             .into_iter()
             .map(|q| {
-                let (br, needs_seed) =
-                    BranchState::compile(q, plan, recursive, !legacy, store, pool);
+                let (br, needs_seed) = BranchState::compile(q, recursive, store, pool);
                 seed_flags.push(needs_seed);
                 br
             })
@@ -949,7 +658,7 @@ impl MaterializedView {
                     }
                     rows_of(br.atom_rels[j], &mut |codes| {
                         if br.row_passes_local(j, codes) {
-                            br.insert_row(j, codes, store);
+                            br.engine_mut().insert_in(store, j, codes);
                         }
                     });
                 }
@@ -967,21 +676,14 @@ impl MaterializedView {
                         .out_cols
                         .iter()
                         .map(|o| match o {
-                            OutSrc::Const(c) => *c,
-                            OutSrc::Prod(..) => unreachable!("no atoms to project"),
+                            OutCode::Const(c) => *c,
+                            OutCode::Col(..) => unreachable!("no atoms to project"),
                         })
                         .collect();
                     *delta.entry(row).or_insert(0) += 1;
                 } else {
                     let last = n - 1;
-                    let drivers: Vec<Box<[Code]>> = match &br.engine {
-                        Some(eng) => eng.rows_of_in(store, last),
-                        None => br.states[last]
-                            .ids
-                            .keys()
-                            .map(|k| k.as_ref().into())
-                            .collect(),
-                    };
+                    let drivers = br.engine().rows_of_in(store, last);
                     br.drive_position(last, &drivers, 1, store, &mut delta);
                 }
             }
@@ -1064,8 +766,10 @@ impl MaterializedView {
         self.detector.sigma()
     }
 
-    /// The CINDs maintained from the view (the every-branch
-    /// view-to-upstream set plus registered extras).
+    /// The CINDs maintained from the view: the registered extras,
+    /// deduplicated, minus any that restate an always-true
+    /// view-to-upstream inclusion (those hold by construction and are
+    /// never maintained).
     pub fn cinds(&self) -> &[Cind] {
         self.cind.sigma()
     }
@@ -1082,7 +786,7 @@ impl MaterializedView {
 
     /// Does a delta on node `node` affect this view (as a branch atom
     /// or a CIND witness side)?
-    pub(crate) fn touches_node(&self, node: usize) -> bool {
+    fn touches_node(&self, node: usize) -> bool {
         self.touched.get(node).copied().unwrap_or(false)
     }
 
@@ -1116,17 +820,15 @@ impl MaterializedView {
         self.detector.violation_count() + self.cind.violation_count()
     }
 
-    /// Cumulative join-enumeration work across branches (bucket rows
-    /// visited by the greedy probe, or the factorized engines'
-    /// candidate/emit counters). `planfix_exp` budgets maintenance
-    /// against this.
+    /// Cumulative join-enumeration work across branches: the
+    /// factorized engines' candidate/emit counters (zero for recursive
+    /// views, which hold no join state). `planfix_exp` budgets
+    /// maintenance against this.
     pub fn probe_work(&self) -> u64 {
         self.branches
             .iter()
-            .map(|b| match &b.engine {
-                Some(eng) => eng.work(),
-                None => b.greedy_work.get(),
-            })
+            .filter_map(|b| b.engine.as_ref())
+            .map(FactorizedEngine::work)
             .sum()
     }
 

@@ -300,17 +300,6 @@ pub struct MultiStore {
     /// views with the same key maintain **one** trie. Commit deltas
     /// are applied here once per changed node, not once per view.
     tries: TrieStore,
-    /// Delta-aware refresh pruning (on by default): skip any
-    /// condensation component whose every member has a provably empty
-    /// delta. `false` restores the coarse reads-the-node walk, kept as
-    /// the measurable baseline for `catalog_exp`.
-    prune: bool,
-    /// Build subsequently registered views with the PR 9 maintenance
-    /// profile: private per-position atom states instead of shared
-    /// trie entries, and witness upkeep for the always-true
-    /// view-to-source CINDs. Off by default; benches flip it to
-    /// measure the refresh-everything walk this scheduler replaced.
-    legacy_views: bool,
     /// The last commit's scheduling outcome.
     last_refresh: RefreshStats,
     /// Views refreshed across all commits (monotone counter).
@@ -386,8 +375,6 @@ impl MultiStore {
             catalog: ViewCatalog::new(n_sources),
             views: Vec::new(),
             tries: TrieStore::new(),
-            prune: true,
-            legacy_views: false,
             last_refresh: RefreshStats::default(),
             total_refreshed: 0,
             total_skipped: 0,
@@ -399,13 +386,14 @@ impl MultiStore {
 
     /// Register a materialized SPC view over the store's *source*
     /// relations: compile `spec.query` (predicates pushed down to
-    /// interned codes, one delta-join plan per atom), seed the view
-    /// from the current live contents, and maintain it — plus
-    /// `spec.sigma` CFD violations and its view-to-source CINDs
-    /// (always-true set plus `spec.cinds`) — incrementally from every
-    /// future commit. Returns the view's catalog slot; the view
-    /// occupies `RelId(rel_count() + slot)` in the extended node
-    /// space.
+    /// interned codes, one factorized join plan per atom), seed the
+    /// view from the current live contents, and maintain it — plus
+    /// `spec.sigma` CFD violations and the extra view-LHS CINDs in
+    /// `spec.cinds` — incrementally from every future commit. The
+    /// always-true view-to-source inclusions hold by construction and
+    /// are not maintained; an extra restating one is dropped. Returns
+    /// the view's catalog slot; the view occupies
+    /// `RelId(rel_count() + slot)` in the extended node space.
     ///
     /// This is the single-branch convenience front end of
     /// [`MultiStore::register_stacked`]; duplicate names and dangling
@@ -417,14 +405,12 @@ impl MultiStore {
             query,
             sigma,
             cinds,
-            plan,
         } = spec;
         self.register_stacked(StackedViewSpec {
             name,
             branches: vec![query],
             sigma,
             cinds,
-            plan,
             cycle: CyclePolicy::Reject,
         })
     }
@@ -502,9 +488,7 @@ impl MultiStore {
                     branches: spec.branches,
                     sigma: spec.sigma,
                     cinds: spec.cinds,
-                    plan: spec.plan,
                     recursive,
-                    legacy: self.legacy_views,
                 };
                 let view_rel = RelId(n_sources + slot);
                 let (cores, views, tries, pool) =
@@ -615,16 +599,16 @@ impl MultiStore {
     /// `skip_slot` exempts one slot (the view a replacement just
     /// rebuilt wholesale).
     ///
-    /// This is the delta-aware scheduler: with pruning on (the
-    /// default) a condensation component refreshes only when some
-    /// member has a *relevant* delta — a changed node it reads whose
-    /// rows pass some branch position's pushed-down predicates, or a
-    /// maintained-CIND endpoint whose violation set can move without a
-    /// join delta. A skipped view provably emits nothing and owes no
-    /// bookkeeping (the invariantly-true view-to-source inclusions are
-    /// never maintained), so it pushes no delta of its own and its
-    /// downstream cone silences through the same test. Shared
-    /// tries are maintained here too: every changed node's delta is
+    /// This is the delta-aware scheduler: a condensation component
+    /// refreshes only when some member has a *relevant* delta — a
+    /// changed node it reads whose rows pass some branch position's
+    /// pushed-down predicates, or a maintained-CIND endpoint whose
+    /// violation set can move without a join delta. A skipped view
+    /// provably emits nothing and owes no bookkeeping (the
+    /// invariantly-true view-to-source inclusions are never
+    /// maintained), so it pushes no delta of its own and its
+    /// downstream cone silences through the same test. Shared tries
+    /// are maintained here too: every changed node's delta is
     /// applied to the [`TrieStore`] exactly once — before any view
     /// folds for the initial entries, and at push time for view
     /// deltas — never once per view.
@@ -653,23 +637,12 @@ impl MultiStore {
             if skip_slot.is_some_and(|s| comp.contains(&s)) {
                 continue;
             }
-            let relevant = if self.prune {
-                component_relevant(&comp, |slot| {
-                    self.views[slot]
-                        .as_ref()
-                        .expect("live view in refresh order")
-                        .delta_relevant(changed)
-                })
-            } else {
-                // Pruning off: the coarse reads-a-changed-node test,
-                // kept as the measurable refresh-everything baseline.
-                comp.iter().any(|&slot| {
-                    let v = self.views[slot]
-                        .as_ref()
-                        .expect("live view in refresh order");
-                    changed.iter().any(|(n, ..)| v.touches_node(*n))
-                })
-            };
+            let relevant = component_relevant(&comp, |slot| {
+                self.views[slot]
+                    .as_ref()
+                    .expect("live view in refresh order")
+                    .delta_relevant(changed)
+            });
             if !relevant {
                 skipped += comp.len();
                 continue;
@@ -808,9 +781,7 @@ impl MultiStore {
             branches: spec.branches,
             sigma: spec.sigma,
             cinds: spec.cinds,
-            plan: spec.plan,
             recursive: false,
-            legacy: self.legacy_views,
         };
         let view_rel = RelId(n_sources + slot);
         let new_view = {
@@ -875,25 +846,6 @@ impl MultiStore {
     /// the store was built.
     pub fn total_refresh_counts(&self) -> (u64, u64) {
         (self.total_refreshed, self.total_skipped)
-    }
-
-    /// Toggle delta-aware refresh pruning (on by default). With
-    /// pruning off, every component that merely *reads* a changed
-    /// node refreshes — the coarse pre-scheduler walk, kept as the
-    /// measurable refresh-everything baseline for `catalog_exp`.
-    pub fn set_refresh_pruning(&mut self, on: bool) {
-        self.prune = on;
-    }
-
-    /// Build views registered *after* this call with the PR 9
-    /// maintenance profile: private per-position atom states (no trie
-    /// sharing) and witness upkeep for the always-true view-to-source
-    /// CINDs. Combined with [`MultiStore::set_refresh_pruning`]`(false)`
-    /// this reproduces the refresh-everything walk the delta-aware
-    /// scheduler replaced, as a measurable baseline for `catalog_exp`.
-    /// Already-registered views are unaffected.
-    pub fn set_legacy_maintenance(&mut self, on: bool) {
-        self.legacy_views = on;
     }
 
     /// `(entries, references, resident rows)` of the shared trie

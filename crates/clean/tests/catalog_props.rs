@@ -811,8 +811,7 @@ fn replace_view_is_atomic_under_pinned_snapshots() {
 
 /// The delta-aware scheduler (ISSUE 10): a commit whose rows pass no
 /// view's pushed-down predicates refreshes **zero** views, a commit
-/// matching one selection refreshes exactly that view, and turning
-/// pruning off restores the coarse refresh-everything walk.
+/// matching one selection refreshes exactly that view.
 #[test]
 fn irrelevant_commits_refresh_zero_views() {
     let (_catalog, mut store) = edge_store(&[(1, 2), (2, 3)], 2);
@@ -844,18 +843,6 @@ fn irrelevant_commits_refresh_zero_views() {
     // The store-side accessors agree with the published commit.
     assert_eq!(store.refresh_stats(), commit.refresh);
     assert_eq!(store.total_refresh_counts(), (1, 7));
-    // Pruning off: the coarse walk refreshes everything that reads the
-    // node, even though nothing can move.
-    store.set_refresh_pruning(false);
-    let mut miss2 = UpdateBatch::default();
-    miss2.inserts.push(vec![Value::int(6), Value::int(6)]);
-    let commit = store.apply(RelId(0), &miss2);
-    assert_eq!(
-        (commit.refresh.refreshed, commit.refresh.skipped),
-        (4, 0),
-        "the unpruned baseline refreshes every reader"
-    );
-    assert!(commit.views.is_empty(), "refreshed four views for nothing");
 }
 
 /// Skipping propagates down the dependency cone: when the top of a

@@ -777,7 +777,6 @@ fn stacked_spec(
         branches: query.branches.clone(),
         sigma: doc.view_cfds_for(name),
         cinds: propagated,
-        plan: cfd_clean::PlanMode::default(),
         cycle: cfd_clean::CyclePolicy::Reject,
     }
 }
@@ -859,7 +858,6 @@ fn spc_only_views(
                 query: branches.remove(0),
                 sigma: s.sigma,
                 cinds: s.cinds,
-                plan: s.plan,
             })
         })
         .collect()

@@ -152,7 +152,7 @@ fn cust_updates_fixture_cleans_the_running_example() {
 /// bottom-up [`eval_stacked`] of the whole DAG after every batch.
 #[test]
 fn stacked_views_fixture_maintains_the_dag() {
-    use cfd_clean::{CyclePolicy, MultiStore, PlanMode, RelationSpec, StackedViewSpec};
+    use cfd_clean::{CyclePolicy, MultiStore, RelationSpec, StackedViewSpec};
     use cfd_relalg::eval::eval_stacked;
     use cfd_relalg::instance::Tuple;
     use cfd_relalg::schema::RelId;
@@ -199,7 +199,6 @@ fn stacked_views_fixture_maintains_the_dag() {
                     branches: s.query.branches.clone(),
                     sigma: Vec::new(),
                     cinds: Vec::new(),
-                    plan: PlanMode::Factorized,
                     cycle: CyclePolicy::Reject,
                 })
                 .collect(),

@@ -8,8 +8,7 @@
 use crate::instance::{Database, Relation, Tuple};
 use crate::pool::{Code, ValuePool};
 use crate::query::{
-    ColRef, CompiledSelection, FactorizedEngine, JoinPlan, OutCode, SelAtom, SpcQuery, SpcuQuery,
-    ViewSchema,
+    ColRef, CompiledSelection, FactorizedEngine, OutCode, SelAtom, SpcQuery, SpcuQuery, ViewSchema,
 };
 use crate::schema::{Attribute, Catalog, RelId, RelationSchema};
 use crate::value::Value;
@@ -22,11 +21,10 @@ use rustc_hash::FxHashMap;
 /// Multi-atom queries dispatch to the width-bounded factorized
 /// evaluator ([`eval_spc_factorized`]): per driver row, work is bounded
 /// by per-variable intersections plus derivations actually emitted —
-/// never intermediate join size, which is where the legacy greedy
-/// hash-join plan ([`eval_spc_hash`]) hits its blowup cliff on skewed
-/// keys. Single-atom (and pure-constant) queries fall back to
-/// [`eval_spc_nested`], whose enumeration *is* the answer in that case.
-/// Both older evaluators are kept public as property-tested references.
+/// never intermediate join size. Single-atom (and pure-constant)
+/// queries fall back to [`eval_spc_nested`], whose enumeration *is* the
+/// answer in that case. The nested-loop evaluator stays public as the
+/// property-tested reference.
 pub fn eval_spc(q: &SpcQuery, catalog: &Catalog, db: &Database) -> Relation {
     if q.atoms.len() >= 2 {
         return eval_spc_factorized(q, catalog, db);
@@ -77,111 +75,8 @@ pub fn eval_spc_factorized(q: &SpcQuery, catalog: &Catalog, db: &Database) -> Re
     rel
 }
 
-/// The legacy hash-join evaluation: filter each atom by its pushed-down
-/// local predicates, build one hash index per [`JoinPlan`] step, then
-/// drive the plan with the rows of its driver atom. Kept public as a
-/// property-tested reference for [`eval_spc_factorized`].
-pub fn eval_spc_hash(q: &SpcQuery, catalog: &Catalog, db: &Database) -> Relation {
-    if q.atoms.is_empty() {
-        return eval_spc_nested(q, catalog, db);
-    }
-    let sel = CompiledSelection::compile(q);
-    let n = q.atoms.len();
-    // Per atom: the rows passing the local predicates.
-    let atom_rows: Vec<Vec<&Tuple>> = q
-        .atoms
-        .iter()
-        .enumerate()
-        .map(|(j, r)| {
-            db.relation(*r)
-                .tuples()
-                .filter(|t| sel.row_passes_local(j, t))
-                .collect()
-        })
-        .collect();
-    let mut out = Relation::new();
-    if atom_rows.iter().any(|rs| rs.is_empty()) {
-        return out;
-    }
-    let plan = JoinPlan::new(n, &sel.cross_eqs, 0);
-    // One hash index per step: probe key -> matching rows of that atom.
-    let indexes: Vec<FxHashMap<Vec<&Value>, Vec<usize>>> = plan
-        .steps
-        .iter()
-        .map(|step| {
-            let mut map: FxHashMap<Vec<&Value>, Vec<usize>> = FxHashMap::default();
-            for (i, row) in atom_rows[step.atom].iter().enumerate() {
-                let key: Vec<&Value> = step.key_cols.iter().map(|&c| &row[c]).collect();
-                map.entry(key).or_default().push(i);
-            }
-            map
-        })
-        .collect();
-    let mut binding: Vec<Option<&Tuple>> = vec![None; n];
-    for &row in &atom_rows[0] {
-        binding[0] = Some(row);
-        probe_step(q, &plan, &indexes, &atom_rows, &mut binding, 0, &mut out);
-    }
-    out
-}
-
-/// Recursively bind the plan's remaining steps and emit every complete
-/// combination's projection.
-fn probe_step<'a>(
-    q: &SpcQuery,
-    plan: &JoinPlan,
-    indexes: &[FxHashMap<Vec<&Value>, Vec<usize>>],
-    atom_rows: &[Vec<&'a Tuple>],
-    binding: &mut Vec<Option<&'a Tuple>>,
-    depth: usize,
-    out: &mut Relation,
-) {
-    let Some(step) = plan.steps.get(depth) else {
-        let row: Tuple = q
-            .output
-            .iter()
-            .map(|o| match o.src {
-                ColRef::Prod(c) => binding[c.atom].expect("bound")[c.attr].clone(),
-                ColRef::Const(k) => q.constants[k].value.clone(),
-            })
-            .collect();
-        out.insert(row);
-        return;
-    };
-    let key: Vec<&Value> = step
-        .key_src
-        .iter()
-        .map(|s| &binding[s.atom].expect("bound")[s.attr])
-        .collect();
-    let Some(candidates) = indexes[depth].get(&key) else {
-        return;
-    };
-    for &i in candidates {
-        let row = atom_rows[step.atom][i];
-        let ok = step.checks.iter().all(|(a, b)| {
-            let va = if a.atom == step.atom {
-                &row[a.attr]
-            } else {
-                &binding[a.atom].expect("bound")[a.attr]
-            };
-            let vb = if b.atom == step.atom {
-                &row[b.attr]
-            } else {
-                &binding[b.atom].expect("bound")[b.attr]
-            };
-            va == vb
-        });
-        if !ok {
-            continue;
-        }
-        binding[step.atom] = Some(row);
-        probe_step(q, plan, indexes, atom_rows, binding, depth + 1, out);
-        binding[step.atom] = None;
-    }
-}
-
 /// Evaluate an SPC query by plain product enumeration (the semantic
-/// reference the hash-join fast path is property-tested against).
+/// reference the factorized fast path is property-tested against).
 pub fn eval_spc_nested(q: &SpcQuery, catalog: &Catalog, db: &Database) -> Relation {
     let mut out = Relation::new();
     // Materialize the atom instances as slices of tuples.

@@ -1,6 +1,6 @@
-//! Compiled form of an SPC selection: predicate pushdown and hash-join
-//! planning, shared by [`crate::eval`]'s fast path and by incremental
-//! view maintenance (`cfd-clean::matview`).
+//! Compiled form of an SPC selection: predicate pushdown and join
+//! variables, shared by [`crate::eval`]'s factorized evaluator and by
+//! incremental view maintenance (`cfd-clean::matview`).
 //!
 //! An SPC query's selection `F` is a flat conjunction over the product
 //! columns. For evaluation — one-shot or incremental — the useful
@@ -11,8 +11,7 @@
 //!   join work ([`CompiledSelection::local_consts`],
 //!   [`CompiledSelection::local_eqs`]).
 //! * The remaining `A = B` conjuncts span two atoms: they are the **join
-//!   graph** ([`CompiledSelection::cross_eqs`]), and a [`JoinPlan`]
-//!   turns them into hash-join key extractions.
+//!   graph** ([`CompiledSelection::cross_eqs`]).
 //!
 //! Pushdown is computed on the **transitive closure** of the equality
 //! graph: the conjuncts partition the product columns into equivalence
@@ -26,31 +25,9 @@
 //! ([`CompiledSelection::join_vars`]), the input to the width-bounded
 //! [`super::factorized::FactorizedPlan`].
 //!
-//! A [`JoinPlan`] is built for one *driver* atom: the atom whose rows
-//! arrive one at a time (every row of the leftmost atom in a full
-//! evaluation; a delta row in incremental maintenance). The plan visits
-//! every other atom once, greedily preferring atoms with the most
-//! equalities into the already-bound set, and records for each step
-//! which columns to probe on ([`JoinStep::key_cols`]), where the probe
-//! values come from ([`JoinStep::key_src`]), and which equalities become
-//! residual [`JoinStep::checks`] (an atom column constrained twice, or
-//! an equality between two previously-bound atoms). A step with no
-//! equality into the bound set degenerates to a scan of that atom —
-//! exactly the nested-loop fallback, confined to the disconnected part
-//! of the join graph.
-//!
-//! `JoinPlan` is the **legacy** per-driver plan: it scores candidate
-//! atoms by raw link count into the bound set, which ignores whether
-//! the bound side of a link is itself selective — on skewed data a
-//! single driver row can fan out to intermediate bindings far larger
-//! than the final result. The width-bounded replacement lives in
-//! [`super::factorized`]; the greedy plan is kept as the
-//! property-tested reference (and its tie-break, `(links, n_atoms -
-//! k)`, is pinned by test).
-//!
-//! The plan speaks only in atom/attribute positions, so the same plan
-//! drives value-level evaluation ([`crate::eval::eval_spc`]) and
-//! code-level maintenance over a dictionary pool.
+//! The compiled form speaks only in atom/attribute positions, so the
+//! same split drives value-level evaluation ([`crate::eval::eval_spc`])
+//! and code-level maintenance over a dictionary pool.
 
 use super::{ProdCol, SelAtom, SpcQuery};
 use crate::value::Value;
@@ -67,8 +44,10 @@ pub struct CompiledSelection {
     /// Per atom: `A = B` constraints with both columns on it — explicit
     /// conjuncts plus pairs derived from the equality closure.
     pub local_eqs: Vec<Vec<(usize, usize)>>,
-    /// `A = B` conjuncts spanning two distinct atoms, as written (the
-    /// legacy [`JoinPlan`] consumes them verbatim).
+    /// `A = B` conjuncts spanning two distinct atoms, as written.
+    /// Together with the local predicates they are equivalent to the
+    /// whole selection; the nested-loop fixpoint evaluator of recursive
+    /// views checks them verbatim.
     pub cross_eqs: Vec<(ProdCol, ProdCol)>,
     /// The join variables: constant-free equivalence classes of product
     /// columns spanning ≥ 2 atoms, each sorted, the list sorted by its
@@ -214,102 +193,6 @@ pub fn canonical_local_eqs(eqs: &[(usize, usize)]) -> Vec<(usize, usize)> {
     out
 }
 
-/// One probe step of a [`JoinPlan`]: join `atom` into the bound set.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinStep {
-    /// The atom this step binds.
-    pub atom: usize,
-    /// The columns of `atom` to key the hash probe on (deduplicated; may
-    /// be empty, in which case the step scans the whole atom).
-    pub key_cols: Vec<usize>,
-    /// For each key column, the bound column supplying the probe value.
-    pub key_src: Vec<ProdCol>,
-    /// Residual equalities that become checkable at this step: each
-    /// holds between two bound columns (at least one on `atom` when the
-    /// equality touches it) and was not consumed as a probe key.
-    pub checks: Vec<(ProdCol, ProdCol)>,
-}
-
-/// A hash-join visit order for all atoms except one driver. See the
-/// [module docs](self).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinPlan {
-    /// The atom whose rows drive the join.
-    pub driver: usize,
-    /// The probe steps, in execution order (covers every non-driver
-    /// atom exactly once).
-    pub steps: Vec<JoinStep>,
-}
-
-impl JoinPlan {
-    /// Plan the join of `n_atoms` atoms linked by `cross_eqs`, driven by
-    /// atom `driver`. Greedy: each step picks the unbound atom with the
-    /// most equalities into the bound set (ties break to the lowest atom
-    /// index, keeping plans deterministic).
-    pub fn new(n_atoms: usize, cross_eqs: &[(ProdCol, ProdCol)], driver: usize) -> JoinPlan {
-        assert!(driver < n_atoms, "driver atom out of range");
-        let mut bound = vec![false; n_atoms];
-        bound[driver] = true;
-        let mut used = vec![false; cross_eqs.len()];
-        let mut steps = Vec::with_capacity(n_atoms.saturating_sub(1));
-        for _ in 1..n_atoms {
-            // Score unbound atoms by how many equalities link them to
-            // the bound set.
-            let next = (0..n_atoms)
-                .filter(|&k| !bound[k])
-                .max_by_key(|&k| {
-                    let links = cross_eqs
-                        .iter()
-                        .filter(|(a, b)| {
-                            (a.atom == k && bound[b.atom]) || (b.atom == k && bound[a.atom])
-                        })
-                        .count();
-                    // max_by_key keeps the *last* maximum; invert the
-                    // index so ties resolve to the lowest atom.
-                    (links, n_atoms - k)
-                })
-                .expect("an unbound atom remains");
-            let mut key_cols: Vec<usize> = Vec::new();
-            let mut key_src: Vec<ProdCol> = Vec::new();
-            let mut checks: Vec<(ProdCol, ProdCol)> = Vec::new();
-            for (i, (a, b)) in cross_eqs.iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
-                // Orient the equality as (on `next`, bound source).
-                let (on_next, src) = if a.atom == next && bound[b.atom] {
-                    (*a, *b)
-                } else if b.atom == next && bound[a.atom] {
-                    (*b, *a)
-                } else {
-                    continue;
-                };
-                used[i] = true;
-                if key_cols.contains(&on_next.attr) {
-                    // The column is already a probe key: the second
-                    // constraint becomes a residual check.
-                    checks.push((on_next, src));
-                } else {
-                    key_cols.push(on_next.attr);
-                    key_src.push(src);
-                }
-            }
-            bound[next] = true;
-            steps.push(JoinStep {
-                atom: next,
-                key_cols,
-                key_src,
-                checks,
-            });
-        }
-        debug_assert!(
-            used.iter().all(|&u| u),
-            "every cross-atom equality is consumed once all atoms are bound"
-        );
-        JoinPlan { driver, steps }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,7 +269,7 @@ mod tests {
         assert!(cs.row_passes_local(1, &[Value::str("x"), Value::str("a")]));
         assert!(!cs.row_passes_local(1, &[Value::str("x"), Value::str("b")]));
         // The constant subsumes the equality: no join variable remains,
-        // but the legacy cross_eqs list is untouched.
+        // but the verbatim cross_eqs list is untouched.
         assert!(cs.join_vars.is_empty());
         assert_eq!(cs.cross_eqs.len(), 1);
     }
@@ -423,61 +306,5 @@ mod tests {
         assert!(!cs.row_passes_local(0, &[Value::int(1)]));
         assert!(!cs.row_passes_local(0, &[Value::int(2)]));
         assert!(!cs.row_passes_local(1, &[Value::int(1)]));
-    }
-
-    #[test]
-    fn plan_prefers_connected_atoms_and_covers_all() {
-        // 0 — 2 — 1, driver 0: step to 2 (linked) before 1.
-        let eqs = vec![(pc(0, 0), pc(2, 0)), (pc(2, 1), pc(1, 0))];
-        let plan = JoinPlan::new(3, &eqs, 0);
-        assert_eq!(plan.steps.len(), 2);
-        assert_eq!(plan.steps[0].atom, 2);
-        assert_eq!(plan.steps[0].key_cols, vec![0]);
-        assert_eq!(plan.steps[0].key_src, vec![pc(0, 0)]);
-        assert_eq!(plan.steps[1].atom, 1);
-        assert_eq!(plan.steps[1].key_cols, vec![0]);
-        assert_eq!(plan.steps[1].key_src, vec![pc(2, 1)]);
-    }
-
-    #[test]
-    fn doubly_constrained_column_becomes_a_check() {
-        // 1.0 equated to both 0.0 and 0.1: one probe key, one check.
-        let eqs = vec![(pc(0, 0), pc(1, 0)), (pc(1, 0), pc(0, 1))];
-        let plan = JoinPlan::new(2, &eqs, 0);
-        let step = &plan.steps[0];
-        assert_eq!(step.key_cols, vec![0]);
-        assert_eq!(step.checks, vec![(pc(1, 0), pc(0, 1))]);
-    }
-
-    #[test]
-    fn disconnected_atom_scans() {
-        let plan = JoinPlan::new(2, &[], 0);
-        assert_eq!(plan.steps.len(), 1);
-        assert!(plan.steps[0].key_cols.is_empty());
-    }
-
-    #[test]
-    fn greedy_tie_break_is_lowest_atom_first() {
-        // Pins the legacy scoring `(links, n_atoms - k)`: atoms 1, 2,
-        // and 3 each have exactly one link to the driver, so the greedy
-        // plan must visit them in ascending atom order — regardless of
-        // how selective each link actually is.
-        let eqs = vec![
-            (pc(0, 0), pc(3, 0)),
-            (pc(0, 1), pc(1, 0)),
-            (pc(0, 2), pc(2, 0)),
-        ];
-        let plan = JoinPlan::new(4, &eqs, 0);
-        let order: Vec<usize> = plan.steps.iter().map(|s| s.atom).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-        // And with a link-count difference, links dominate the index.
-        let eqs = vec![
-            (pc(0, 0), pc(2, 0)),
-            (pc(0, 1), pc(2, 1)),
-            (pc(0, 2), pc(1, 0)),
-        ];
-        let plan = JoinPlan::new(3, &eqs, 0);
-        let order: Vec<usize> = plan.steps.iter().map(|s| s.atom).collect();
-        assert_eq!(order, vec![2, 1]);
     }
 }

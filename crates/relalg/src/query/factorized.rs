@@ -1,14 +1,17 @@
 //! Width-bounded factorized join plans: per-driver-row variable
-//! elimination over the join graph, replacing the greedy binary
-//! [`super::JoinPlan`] for ≥3-atom queries.
+//! elimination over the join graph. This is the one join engine behind
+//! multi-atom SPC evaluation ([`crate::eval::eval_spc`]) and view
+//! maintenance.
 //!
 //! # Why
 //!
-//! The greedy plan probes atoms one at a time and materializes every
-//! intermediate binding. On a skewed instance — say `R0(a,b) ⋈_b
-//! R1(b,c) ⋈_c R2(c,d)` where one hot `b` matches `K` rows of `R1` but
-//! only a handful of `c` values survive into `R2` — a single driver row
-//! costs `Θ(K)` even when the delta it produces is `O(1)`. That is the
+//! A greedy binary hash-join plan — the engine this replaced; its
+//! measurements are frozen in `BENCH_planfix.json` — probes atoms one
+//! at a time and materializes every intermediate binding. On a skewed
+//! instance — say `R0(a,b) ⋈_b R1(b,c) ⋈_c R2(c,d)` where one hot `b`
+//! matches `K` rows of `R1` but only a handful of `c` values survive
+//! into `R2` — a single driver row costs `Θ(K)` even when the delta it
+//! produces is `O(1)`. That is the
 //! delta-join blowup cliff: maintenance cost tracks intermediate join
 //! size, not `O(|Δ⋈|)`.
 //!
@@ -34,8 +37,8 @@
 //! Join-graph components not containing the driver are enumerated
 //! **once per drive call** (not per driver row) with a
 //! driver-independent variable order, and atoms with no variables at
-//! all (pure cartesian factors) are cached as plain row lists — the fix
-//! for the disconnected-step rescan bug in the legacy plan.
+//! all (pure cartesian factors) are cached as plain row lists, so a
+//! disconnected atom is never rescanned per driver row.
 //!
 //! # Plan order (deterministic, satellite #3)
 //!

@@ -17,7 +17,7 @@ pub mod factorized;
 mod fragment;
 
 pub use builder::{RaCond, RaExpr};
-pub use compiled::{canonical_local_eqs, CompiledSelection, JoinPlan, JoinStep};
+pub use compiled::{canonical_local_eqs, CompiledSelection};
 pub use factorized::{AtomKey, FactorizedEngine, FactorizedPlan, OutCode, TrieStore};
 pub use fragment::Fragment;
 

@@ -61,10 +61,10 @@ fn database() -> impl Strategy<Value = Database> {
 /// Strategy: a random [`SpcQuery`] in normal form over the `catalog()`
 /// relations — 1–3 atoms drawn from {R, S} with replacement, a random
 /// mix of cross-atom joins, local equalities and constant selections,
-/// and a random projection. Exercises both `eval_spc` paths (queries
-/// with no cross-atom equality take the nested-loop fallback; the rest
-/// take the hash join, including disconnected-atom scans and
-/// doubly-constrained probe columns).
+/// and a random projection. Exercises both `eval_spc` paths
+/// (single-atom queries take the nested-loop fallback; the rest take
+/// the factorized evaluator, including disconnected atoms and
+/// doubly-constrained join columns).
 fn spc_query() -> impl Strategy<Value = SpcQuery> {
     let atom = 0usize..2; // 0 = R (arity 3), 1 = S (arity 2)
     (
@@ -289,7 +289,7 @@ proptest! {
         prop_assert_eq!(cols2, cols, "re-encoding against the same pool is stable");
     }
 
-    /// ISSUE 5: the hash-join fast path of `eval_spc` agrees with the
+    /// The fast path of `eval_spc` agrees with the
     /// nested-loop product enumeration on random SPC queries (random
     /// atoms, selections mixing cross-atom joins, local equalities and
     /// constants, random projections).
@@ -302,6 +302,6 @@ proptest! {
         prop_assume!(q.validate(&c).is_ok());
         let fast = eval_spc(&q, &c, &db);
         let slow = eval_spc_nested(&q, &c, &db);
-        prop_assert_eq!(fast, slow, "hash-join eval diverged on {}", q);
+        prop_assert_eq!(fast, slow, "fast eval diverged on {}", q);
     }
 }
